@@ -87,7 +87,7 @@ pub use parallel::{default_threads, parallel_chunks};
 pub use report::{RunReport, TaskReport};
 pub use runner::{DataSynth, PlannedSchema, Session, TaskPhase, TaskProgress};
 pub use sink::{
-    CsvSink, EdgeTableInfo, GraphSink, InMemorySink, JsonlSink, MultiSink, NodeTableInfo,
+    CsvSink, DirSink, EdgeTableInfo, GraphSink, InMemorySink, JsonlSink, MultiSink, NodeTableInfo,
     PropertyInfo, ShardSpec, SinkError, SinkManifest, TableFormat, TableRows, TableSink,
     MANIFEST_FILE,
 };

@@ -38,6 +38,7 @@
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -611,54 +612,65 @@ fn stream_table(
         Err((status, msg)) => return respond_error(w, state, status, &msg, req.keep_alive),
     };
 
-    // Headers are committed before generation: any later failure can
-    // only truncate the chunked body (no terminal chunk), which clients
-    // see as an aborted transfer rather than a silent short file.
+    let (tx, rx) = stream::chunk_channel();
+    let sink = TableSink::new(table, format, tx);
+    let (report, bytes_sent) = stream_run(w, state, req, format, session, rx, sink)?;
+    let rows = report.tables.get(table).map_or(0, |t| t.hi - t.lo);
+    state
+        .metrics
+        .counter_with("datasynth_sink_rows_total", Some(("table", table)))
+        .add(rows);
+    state
+        .metrics
+        .counter_with("datasynth_sink_bytes_total", Some(("table", table)))
+        .add(bytes_sent);
+    http::finish_chunked(w)
+}
+
+/// The scoped-drain protocol of every streaming route. Commits the chunked
+/// head — any later failure can only truncate the body (no terminal
+/// chunk), which clients see as an aborted transfer rather than a silent
+/// short file — then runs `session` into `sink` on this worker thread (a
+/// `Session` is not `Send`) while a scoped thread drains what the sink
+/// writes into `rx`'s channel onto the socket. When the client disconnects
+/// the drain drops the receiver, the generator's next write fails with
+/// BrokenPipe and the run aborts through the sink's normal error path; the
+/// join reclaims the drain thread either way, so the pool slot frees
+/// deterministically. `sink` comes by value because dropping it, and with
+/// it the channel's sender, is what ends the drain. Returns the run's
+/// report and the bytes sent; the caller accounts for them and then tells
+/// the client the stream is whole ([`http::finish_chunked`]).
+fn stream_run(
+    w: &mut TcpStream,
+    state: &ServerState,
+    req: &Request,
+    format: TableFormat,
+    session: Session<'_>,
+    rx: Receiver<Vec<u8>>,
+    mut sink: impl GraphSink,
+) -> io::Result<(RunReport, u64)> {
     state.count_response(200);
     http::write_chunked_head(w, 200, format.content_type(), req.keep_alive)?;
 
-    // Generation runs here on the worker thread (a `Session` is not
-    // `Send`); a scoped drain thread forwards chunks to the socket.
-    // When the client disconnects mid-stream the drain drops the
-    // receiver, the generator's next write fails with BrokenPipe, and
-    // the run aborts through the sink's normal error path — the join
-    // below then reclaims the drain thread, so the pool slot frees
-    // deterministically.
-    let (tx, rx) = stream::chunk_channel();
     let socket = &mut *w;
-    let (run, bytes_sent, client_gone) = thread::scope(|scope| {
+    let (run, bytes_sent) = thread::scope(|scope| {
+        // Yields the bytes sent, or `None` once the client is gone —
+        // returning early is what drops the receiver.
         let drain = scope.spawn(move || {
             let mut bytes_sent: u64 = 0;
-            let mut client_gone = false;
-            for chunk in rx.iter() {
-                if http::write_chunk(socket, &chunk).is_err() {
-                    client_gone = true;
-                    break;
-                }
+            for chunk in rx {
+                http::write_chunk(socket, &chunk).ok()?;
                 bytes_sent += chunk.len() as u64;
             }
-            drop(rx);
-            (bytes_sent, client_gone)
+            Some(bytes_sent)
         });
-        let mut sink = TableSink::new(table, format, tx);
-        let run = session.run_into(&mut sink).map(|_| sink.rows_written());
+        let run = session.run_into(&mut sink);
         drop(sink);
-        let (bytes_sent, client_gone) = drain.join().expect("drain thread panicked");
-        (run, bytes_sent, client_gone)
+        (run, drain.join().expect("drain thread panicked"))
     });
 
-    match run {
-        Ok(rows) if !client_gone => {
-            state
-                .metrics
-                .counter_with("datasynth_sink_rows_total", Some(("table", table)))
-                .add(rows);
-            state
-                .metrics
-                .counter_with("datasynth_sink_bytes_total", Some(("table", table)))
-                .add(bytes_sent);
-            http::finish_chunked(w)
-        }
+    match (run, bytes_sent) {
+        (Ok(report), Some(bytes_sent)) => Ok((report, bytes_sent)),
         _ => {
             state
                 .metrics
@@ -682,24 +694,15 @@ fn stream_ops(w: &mut TcpStream, state: &ServerState, req: &Request, hash: &str)
         Ok(entry) => entry,
         Err((status, msg)) => return respond_error(w, state, status, &msg, req.keep_alive),
     };
-    let format = match req.query("format") {
-        None => OpsFormat::Csv,
-        Some(raw) => match OpsFormat::from_keyword(raw) {
-            Some(f) => f,
-            None => {
-                return respond_error(
-                    w,
-                    state,
-                    400,
-                    &format!("unknown ops format {raw:?}; use csv or jsonl"),
-                    req.keep_alive,
-                )
-            }
-        },
-    };
-    let content_type = match format {
-        OpsFormat::Csv => "text/csv; charset=utf-8",
-        OpsFormat::Jsonl => "application/x-ndjson",
+    let raw = req.query("format").unwrap_or("csv");
+    let Some(format) = OpsFormat::from_extension(raw) else {
+        return respond_error(
+            w,
+            state,
+            400,
+            &format!("unknown ops format {raw:?}; use csv or jsonl"),
+            req.keep_alive,
+        );
     };
 
     let (_guard, budget) = RunGuard::claim(state);
@@ -711,50 +714,13 @@ fn stream_ops(w: &mut TcpStream, state: &ServerState, req: &Request, hash: &str)
     // annotations) before any header is committed, so a snapshot-only
     // schema gets a clean 422 instead of an aborted stream.
     let (tx, rx) = stream::chunk_channel();
-    let mut sink = match TemporalSink::new(entry.synth.schema(), tx, format) {
+    let sink = match TemporalSink::new(entry.synth.schema(), tx, format) {
         Ok(sink) => sink.with_metrics(Arc::clone(&state.metrics)),
         Err(e) => return respond_error(w, state, 422, &e.to_string(), req.keep_alive),
     };
-
-    state.count_response(200);
-    http::write_chunked_head(w, 200, content_type, req.keep_alive)?;
-
-    // Same scoped-drain protocol as `stream_table`: generation on this
-    // worker thread, socket writes on the drain, client disconnects
-    // surface as sink write errors that abort the run.
-    let socket = &mut *w;
-    let (run, client_gone) = thread::scope(|scope| {
-        let drain = scope.spawn(move || {
-            let mut client_gone = false;
-            for chunk in rx.iter() {
-                if http::write_chunk(socket, &chunk).is_err() {
-                    client_gone = true;
-                    break;
-                }
-            }
-            drop(rx);
-            client_gone
-        });
-        let run = session.run_into(&mut sink);
-        drop(sink);
-        let client_gone = drain.join().expect("drain thread panicked");
-        (run, client_gone)
-    });
-
-    match run {
-        // The sink records its own $ops row/byte counters at finish.
-        Ok(_) if !client_gone => http::finish_chunked(w),
-        _ => {
-            state
-                .metrics
-                .counter("datasynth_http_streams_aborted_total")
-                .inc();
-            Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "stream aborted before completion",
-            ))
-        }
-    }
+    // The sink records its own $ops row/byte counters at finish.
+    stream_run(w, state, req, format, session, rx, sink)?;
+    http::finish_chunked(w)
 }
 
 fn respond(

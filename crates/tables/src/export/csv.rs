@@ -1,43 +1,59 @@
-//! CSV directory export: one wide file per node type (`id` + all
-//! properties) and one per edge type (`id,tail,head` + all properties).
-//!
-//! The row-writing core is exposed as [`write_node_table`] /
-//! [`write_edge_table`] so the whole-graph [`CsvExporter`] and the
-//! streaming per-table sinks in `datasynth-core` produce byte-identical
-//! files from one implementation.
+//! CSV syntax: `id,<props...>` for a node table, `id,tail,head,<props...>`
+//! for an edge table. Called only by [`TableSlice::write`](super::TableSlice::write),
+//! so every column is known to hold exactly the row window.
 
-use std::fs::{self, File};
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::ops::Range;
-use std::path::Path;
 
-use datasynth_telemetry::{CountingWrite, MetricsRegistry};
+use super::csv_escape;
+use crate::{EdgeTable, PropertyTable};
 
-use super::{csv_escape, record_export, Exporter};
-use crate::{EdgeTable, PropertyGraph, PropertyTable};
-
-/// Write the node-table header line: `id,<props...>`.
-pub fn write_node_header<W: Write>(w: &mut W, props: &[(&str, &PropertyTable)]) -> io::Result<()> {
-    write!(w, "id")?;
-    for (name, _) in props {
-        write!(w, ",{}", csv_escape(name))?;
+/// Write the header line if asked, then one record per global id in
+/// `rows`. `edges` and the property tables hold exactly those rows (their
+/// row `0` is global id `rows.start`), so concatenating the row output of
+/// a table's shards reproduces the full table's rows byte-for-byte.
+pub(super) fn write_table<W: Write>(
+    w: &mut W,
+    write_header: bool,
+    rows: Range<u64>,
+    edges: Option<&EdgeTable>,
+    props: &[(&str, &PropertyTable)],
+) -> io::Result<()> {
+    if write_header {
+        write!(
+            w,
+            "{}",
+            if edges.is_some() {
+                "id,tail,head"
+            } else {
+                "id"
+            }
+        )?;
+        for (name, _) in props {
+            write!(w, ",{}", csv_escape(name))?;
+        }
+        writeln!(w)?;
     }
-    writeln!(w)
+    match edges {
+        None => write_rows(w, rows, props, |w, id, _| write!(w, "{id}")),
+        Some(edges) => write_rows(w, rows, props, |w, id, row| {
+            let (t, h) = edges.edge(row);
+            write!(w, "{id},{t},{h}")
+        }),
+    }
 }
 
-/// Write the data rows for the global ids in `rows`; the property tables
-/// hold exactly those rows (their row `0` is global id `rows.start`). A
-/// full table is `rows = 0..count`; a shard passes its window, so
-/// concatenating the shards' row output reproduces the full table's rows
-/// byte-for-byte.
-pub fn write_node_rows<W: Write>(
+/// The row loop: `lead(w, id, row)` writes the leading fields of global
+/// id `id`, which is row `row` of the columns.
+fn write_rows<W: Write>(
     w: &mut W,
     rows: Range<u64>,
     props: &[(&str, &PropertyTable)],
+    lead: impl Fn(&mut W, u64, u64) -> io::Result<()>,
 ) -> io::Result<()> {
     let offset = rows.start;
     for id in rows {
-        write!(w, "{id}")?;
+        lead(w, id, id - offset)?;
         for (_, table) in props {
             let v = table.value(id - offset).map_err(io::Error::other)?;
             write!(w, ",{}", csv_escape(&v.render()))?;
@@ -47,116 +63,10 @@ pub fn write_node_rows<W: Write>(
     Ok(())
 }
 
-/// Write one node table: header `id,<props...>` then one row per id in
-/// `0..count`. `props` must be in the desired column order.
-pub fn write_node_table<W: Write>(
-    w: &mut W,
-    count: u64,
-    props: &[(&str, &PropertyTable)],
-) -> io::Result<()> {
-    write_node_header(w, props)?;
-    write_node_rows(w, 0..count, props)
-}
-
-/// Write the edge-table header line: `id,tail,head,<props...>`.
-pub fn write_edge_header<W: Write>(w: &mut W, props: &[(&str, &PropertyTable)]) -> io::Result<()> {
-    write!(w, "id,tail,head")?;
-    for (name, _) in props {
-        write!(w, ",{}", csv_escape(name))?;
-    }
-    writeln!(w)
-}
-
-/// Write the data rows for the global edge ids in `rows`; `table` and
-/// every property column hold exactly those rows (see [`write_node_rows`]).
-pub fn write_edge_rows<W: Write>(
-    w: &mut W,
-    rows: Range<u64>,
-    table: &EdgeTable,
-    props: &[(&str, &PropertyTable)],
-) -> io::Result<()> {
-    let offset = rows.start;
-    for id in rows {
-        let (t, h) = table.edge(id - offset);
-        write!(w, "{id},{t},{h}")?;
-        for (_, ptable) in props {
-            let v = ptable.value(id - offset).map_err(io::Error::other)?;
-            write!(w, ",{}", csv_escape(&v.render()))?;
-        }
-        writeln!(w)?;
-    }
-    Ok(())
-}
-
-/// Write one edge table: header `id,tail,head,<props...>` then one row per
-/// edge. `props` must be in the desired column order.
-pub fn write_edge_table<W: Write>(
-    w: &mut W,
-    table: &EdgeTable,
-    props: &[(&str, &PropertyTable)],
-) -> io::Result<()> {
-    write_edge_header(w, props)?;
-    write_edge_rows(w, 0..table.len(), table, props)
-}
-
-/// CSV exporter; see module docs for the layout.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CsvExporter;
-
-impl CsvExporter {
-    /// Export like [`Exporter::export`], additionally recording
-    /// per-table `datasynth_export_{bytes,rows}_total` counters into
-    /// `metrics`. Output bytes are identical to the unmetered path.
-    pub fn export_metered(
-        &self,
-        graph: &PropertyGraph,
-        dir: &Path,
-        metrics: &MetricsRegistry,
-    ) -> io::Result<()> {
-        self.export_inner(graph, dir, Some(metrics))
-    }
-
-    fn export_inner(
-        &self,
-        graph: &PropertyGraph,
-        dir: &Path,
-        metrics: Option<&MetricsRegistry>,
-    ) -> io::Result<()> {
-        fs::create_dir_all(dir)?;
-        for (node_type, count) in graph.node_types() {
-            let file = File::create(dir.join(format!("{node_type}.csv")))?;
-            let mut w = BufWriter::new(CountingWrite::new(file));
-            let props: Vec<_> = graph.node_properties_of(node_type).collect();
-            write_node_table(&mut w, count, &props)?;
-            w.flush()?;
-            if let Some(m) = metrics {
-                record_export(m, node_type, count, w.get_ref().bytes());
-            }
-        }
-        for (edge_type, _meta, table) in graph.edge_types() {
-            let file = File::create(dir.join(format!("{edge_type}.csv")))?;
-            let mut w = BufWriter::new(CountingWrite::new(file));
-            let props: Vec<_> = graph.edge_properties_of(edge_type).collect();
-            write_edge_table(&mut w, table, &props)?;
-            w.flush()?;
-            if let Some(m) = metrics {
-                record_export(m, edge_type, table.len(), w.get_ref().bytes());
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Exporter for CsvExporter {
-    fn export(&self, graph: &PropertyGraph, dir: &Path) -> io::Result<()> {
-        self.export_inner(graph, dir, None)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::{EdgeTable, PropertyTable, Value, ValueType};
+    use crate::export::{CsvExporter, Exporter, TableFormat, TableSlice};
+    use crate::{EdgeTable, PropertyGraph, PropertyTable, Value, ValueType};
 
     fn graph() -> PropertyGraph {
         let mut g = PropertyGraph::new();
@@ -207,7 +117,10 @@ mod tests {
         let g = graph();
         let mut buf = Vec::new();
         let props: Vec<_> = g.node_properties_of("Person").collect();
-        write_node_table(&mut buf, 2, &props).unwrap();
+        TableSlice::new("Person", 0..2, None, &props)
+            .unwrap()
+            .write(&mut buf, TableFormat::Csv, true)
+            .unwrap();
         let dir = std::env::temp_dir().join(format!("ds-csv-wtest-{}", std::process::id()));
         CsvExporter.export(&g, &dir).unwrap();
         let exported = std::fs::read(dir.join("Person.csv")).unwrap();

@@ -1,67 +1,12 @@
-//! JSON-lines export: one object per instance, one file per type.
-//!
-//! As with the CSV module, the row-writing core ([`write_node_table`],
-//! [`write_edge_table`]) is shared between the whole-graph
-//! [`JsonlExporter`] and the streaming sinks in `datasynth-core`, so both
-//! paths emit byte-identical files.
+//! JSON-lines syntax: one self-contained object per row. Called only by
+//! [`TableSlice::write`](super::TableSlice::write), so every column is
+//! known to hold exactly the row window.
 
-use std::fs::{self, File};
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
+use std::io::{self, Write};
+use std::ops::Range;
 
-use datasynth_telemetry::{CountingWrite, MetricsRegistry};
-
-use super::{json_escape, record_export, Exporter};
-use crate::{EdgeTable, PropertyGraph, PropertyTable, Value};
-
-/// JSONL exporter: `<Type>.jsonl` per node type, `<edge>.jsonl` per edge
-/// type; each line is a self-contained JSON object.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JsonlExporter;
-
-impl JsonlExporter {
-    /// Export like [`Exporter::export`], additionally recording
-    /// per-table `datasynth_export_{bytes,rows}_total` counters into
-    /// `metrics`. Output bytes are identical to the unmetered path.
-    pub fn export_metered(
-        &self,
-        graph: &PropertyGraph,
-        dir: &Path,
-        metrics: &MetricsRegistry,
-    ) -> io::Result<()> {
-        self.export_inner(graph, dir, Some(metrics))
-    }
-
-    fn export_inner(
-        &self,
-        graph: &PropertyGraph,
-        dir: &Path,
-        metrics: Option<&MetricsRegistry>,
-    ) -> io::Result<()> {
-        fs::create_dir_all(dir)?;
-        for (node_type, count) in graph.node_types() {
-            let file = File::create(dir.join(format!("{node_type}.jsonl")))?;
-            let mut w = BufWriter::new(CountingWrite::new(file));
-            let props: Vec<_> = graph.node_properties_of(node_type).collect();
-            write_node_table(&mut w, count, &props)?;
-            w.flush()?;
-            if let Some(m) = metrics {
-                record_export(m, node_type, count, w.get_ref().bytes());
-            }
-        }
-        for (edge_type, meta, table) in graph.edge_types() {
-            let file = File::create(dir.join(format!("{edge_type}.jsonl")))?;
-            let mut w = BufWriter::new(CountingWrite::new(file));
-            let props: Vec<_> = graph.edge_properties_of(edge_type).collect();
-            write_edge_table(&mut w, &meta.source, &meta.target, table, &props)?;
-            w.flush()?;
-            if let Some(m) = metrics {
-                record_export(m, edge_type, table.len(), w.get_ref().bytes());
-            }
-        }
-        Ok(())
-    }
-}
+use super::{json_escape, Endpoints};
+use crate::{PropertyTable, Value};
 
 fn write_value(out: &mut String, v: &Value) {
     match v {
@@ -83,21 +28,45 @@ fn write_value(out: &mut String, v: &Value) {
     }
 }
 
-/// Write the objects for the global ids in `rows`; the property tables
-/// hold exactly those rows (their row `0` is global id `rows.start`) —
-/// the sharded counterpart of [`write_node_table`] (JSONL has no header,
-/// so a shard's file is exactly its row window).
-pub fn write_node_rows<W: Write>(
+/// Write one object per global id in `rows`. The endpoint pairs and the
+/// property tables hold exactly those rows (their row `0` is global id
+/// `rows.start`). JSONL has no header, so a shard's output is exactly its
+/// row window.
+pub(super) fn write_table<W: Write>(
     w: &mut W,
-    rows: std::ops::Range<u64>,
+    rows: Range<u64>,
+    endpoints: Option<Endpoints<'_>>,
     props: &[(&str, &PropertyTable)],
+) -> io::Result<()> {
+    match endpoints {
+        None => write_rows(w, rows, props, |line, id, _| {
+            line.push_str("{\"id\":");
+            line.push_str(&id.to_string());
+        }),
+        Some(e) => write_rows(w, rows, props, |line, id, row| {
+            let (t, h) = e.table.edge(row);
+            line.push_str(&format!(
+                "{{\"id\":{id},\"tail\":{t},\"head\":{h},\"source\":\"{}\",\"target\":\"{}\"",
+                json_escape(e.source),
+                json_escape(e.target)
+            ));
+        }),
+    }
+}
+
+/// The row loop: `lead(line, id, row)` opens the object of global id
+/// `id`, which is row `row` of the columns.
+fn write_rows<W: Write>(
+    w: &mut W,
+    rows: Range<u64>,
+    props: &[(&str, &PropertyTable)],
+    lead: impl Fn(&mut String, u64, u64),
 ) -> io::Result<()> {
     let offset = rows.start;
     let mut line = String::new();
     for id in rows {
         line.clear();
-        line.push_str("{\"id\":");
-        line.push_str(&id.to_string());
+        lead(&mut line, id, id - offset);
         for (name, table) in props {
             line.push_str(",\"");
             line.push_str(&json_escape(name));
@@ -111,71 +80,10 @@ pub fn write_node_rows<W: Write>(
     Ok(())
 }
 
-/// Write one node table: one `{"id":..., ...props}` object per line, ids
-/// `0..count`. `props` must be in the desired key order.
-pub fn write_node_table<W: Write>(
-    w: &mut W,
-    count: u64,
-    props: &[(&str, &PropertyTable)],
-) -> io::Result<()> {
-    write_node_rows(w, 0..count, props)
-}
-
-/// Write the objects for the global edge ids in `rows`; `table` and every
-/// property column hold exactly those rows.
-pub fn write_edge_rows<W: Write>(
-    w: &mut W,
-    rows: std::ops::Range<u64>,
-    source: &str,
-    target: &str,
-    table: &EdgeTable,
-    props: &[(&str, &PropertyTable)],
-) -> io::Result<()> {
-    let offset = rows.start;
-    let mut line = String::new();
-    for id in rows {
-        let (t, h) = table.edge(id - offset);
-        line.clear();
-        line.push_str(&format!(
-            "{{\"id\":{id},\"tail\":{t},\"head\":{h},\"source\":\"{}\",\"target\":\"{}\"",
-            json_escape(source),
-            json_escape(target)
-        ));
-        for (name, ptable) in props {
-            line.push_str(",\"");
-            line.push_str(&json_escape(name));
-            line.push_str("\":");
-            let v = ptable.value(id - offset).map_err(io::Error::other)?;
-            write_value(&mut line, &v);
-        }
-        line.push('}');
-        writeln!(w, "{line}")?;
-    }
-    Ok(())
-}
-
-/// Write one edge table: one `{"id","tail","head","source","target",
-/// ...props}` object per line. `props` must be in the desired key order.
-pub fn write_edge_table<W: Write>(
-    w: &mut W,
-    source: &str,
-    target: &str,
-    table: &EdgeTable,
-    props: &[(&str, &PropertyTable)],
-) -> io::Result<()> {
-    write_edge_rows(w, 0..table.len(), source, target, table, props)
-}
-
-impl Exporter for JsonlExporter {
-    fn export(&self, graph: &PropertyGraph, dir: &Path) -> io::Result<()> {
-        self.export_inner(graph, dir, None)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::{EdgeTable, PropertyTable, ValueType};
+    use crate::export::{Exporter, JsonlExporter};
+    use crate::{EdgeTable, PropertyGraph, PropertyTable, Value, ValueType};
 
     #[test]
     fn emits_valid_lines() {

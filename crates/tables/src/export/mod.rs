@@ -1,29 +1,189 @@
-//! Exporters: persist a [`PropertyGraph`] to disk.
+//! How tables become bytes.
 //!
 //! The paper lists *"connectors for integrating the framework with
 //! production-level technologies such as databases and cluster storages"*
 //! among its requirements. We provide the two interchange formats everything
-//! else can ingest — CSV directories and JSON-lines — behind a common
-//! [`Exporter`] trait so users can plug their own sinks.
+//! else can ingest — CSV directories and JSON-lines.
 //!
-//! Both formats are built from per-table streaming writers
-//! ([`csv::write_node_table`], [`jsonl::write_edge_table`], …) shared with
-//! the `GraphSink` implementations in `datasynth-core`, so whole-graph
-//! export and streaming one-pass export produce byte-identical files.
+//! There is one write path. [`TableFormat`] is the workspace's only
+//! csv/jsonl enum, and [`TableSlice`] is the only way to turn one table —
+//! a row window of it, for sharded runs — into bytes: [`TableSlice::new`]
+//! checks every column against the window, [`TableSlice::write`] picks the
+//! format once and runs that format's row loop (the private `csv` /
+//! `jsonl` modules). Everything that emits a table goes through it:
+//! [`export_dir`] (behind [`CsvExporter`] / [`JsonlExporter`]) replays an
+//! in-memory [`PropertyGraph`], and the streaming sinks in `datasynth-core`
+//! (`CsvSink`, `JsonlSink`, `TableSink`) call it the moment a table's last
+//! column arrives. [`ops`] holds the row writers of the op log, which is
+//! not a table of columns.
 
-pub mod csv;
-pub mod jsonl;
+mod csv;
+mod jsonl;
 pub mod ops;
 
-pub use csv::CsvExporter;
-pub use jsonl::JsonlExporter;
-
-use std::io;
+use std::fmt;
+use std::fs::{self, File};
+use std::io::{self, BufWriter, Write};
+use std::ops::Range;
 use std::path::Path;
 
-use datasynth_telemetry::MetricsRegistry;
+use crate::{EdgeTable, PropertyGraph, PropertyTable};
 
-use crate::PropertyGraph;
+/// The serialization of a table (or op log): the one csv/jsonl choice,
+/// made at the edge by whoever opens the output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TableFormat {
+    /// Comma-separated values with a header row.
+    Csv,
+    /// One JSON object per row; no header.
+    Jsonl,
+}
+
+impl TableFormat {
+    /// The file extension conventionally used for this format.
+    pub fn extension(self) -> &'static str {
+        match self {
+            TableFormat::Csv => "csv",
+            TableFormat::Jsonl => "jsonl",
+        }
+    }
+
+    /// Parse a file extension or format keyword (`"csv"` / `"jsonl"`).
+    pub fn from_extension(ext: &str) -> Option<Self> {
+        match ext {
+            "csv" => Some(TableFormat::Csv),
+            "jsonl" => Some(TableFormat::Jsonl),
+            _ => None,
+        }
+    }
+
+    /// The MIME type a transport should label this format with.
+    pub fn content_type(self) -> &'static str {
+        match self {
+            TableFormat::Csv => "text/csv; charset=utf-8",
+            TableFormat::Jsonl => "application/x-ndjson",
+        }
+    }
+}
+
+/// A column whose length disagrees with its table's row window; displays
+/// as a message naming the table and the column.
+#[derive(Debug)]
+pub struct ShapeError(String);
+
+impl fmt::Display for ShapeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for ShapeError {}
+
+impl From<ShapeError> for io::Error {
+    fn from(e: ShapeError) -> Self {
+        io::Error::new(io::ErrorKind::InvalidData, e)
+    }
+}
+
+/// What an edge table has and a node table lacks: the `(tail, head)`
+/// pairs, and the endpoint type names JSONL rows carry.
+#[derive(Debug, Clone, Copy)]
+pub struct Endpoints<'a> {
+    /// Source node type.
+    pub source: &'a str,
+    /// Target node type.
+    pub target: &'a str,
+    /// The endpoint pairs of the rows being written.
+    pub table: &'a EdgeTable,
+}
+
+/// One table — or one shard's row window of it — checked and ready to be
+/// written. [`new`](Self::new) is the only way in, so the row loops can
+/// rely on every column holding exactly the window's rows.
+#[derive(Debug)]
+pub struct TableSlice<'a> {
+    rows: Range<u64>,
+    endpoints: Option<Endpoints<'a>>,
+    props: &'a [(&'a str, &'a PropertyTable)],
+}
+
+impl<'a> TableSlice<'a> {
+    /// The global rows `rows` of table `name`: a node table when
+    /// `endpoints` is `None`, an edge table otherwise. `endpoints` and
+    /// every column of `props` (in output column order) must hold exactly
+    /// those rows — their row `0` is global row `rows.start`.
+    pub fn new(
+        name: &str,
+        rows: Range<u64>,
+        endpoints: Option<Endpoints<'a>>,
+        props: &'a [(&'a str, &'a PropertyTable)],
+    ) -> Result<Self, ShapeError> {
+        let expected = rows.end - rows.start;
+        let edge_len = endpoints.iter().map(|e| ("edge table", e.table.len()));
+        let prop_lens = props.iter().map(|(prop, column)| (*prop, column.len()));
+        for (what, len) in edge_len.chain(prop_lens) {
+            if len != expected {
+                return Err(ShapeError(format!(
+                    "{name}: {what} has {len} rows but the announced window \
+                     {}..{} holds {expected}",
+                    rows.start, rows.end
+                )));
+            }
+        }
+        Ok(TableSlice {
+            rows,
+            endpoints,
+            props,
+        })
+    }
+
+    /// Write the rows into `w` in `format`. `write_header` asks for the
+    /// CSV header line (JSONL has none); a sharded run passes it for shard
+    /// 0 only, so the shards' outputs concatenate to the full table's.
+    pub fn write<W: Write>(
+        &self,
+        w: &mut W,
+        format: TableFormat,
+        write_header: bool,
+    ) -> io::Result<()> {
+        let (rows, props) = (self.rows.clone(), self.props);
+        match format {
+            TableFormat::Csv => {
+                let edges = self.endpoints.map(|e| e.table);
+                csv::write_table(w, write_header, rows, edges, props)
+            }
+            TableFormat::Jsonl => jsonl::write_table(w, rows, self.endpoints, props),
+        }
+    }
+}
+
+/// Write every table of `graph` as `<type>.<ext>` under `dir` (created if
+/// missing) by replaying it through [`TableSlice`].
+pub fn export_dir(graph: &PropertyGraph, dir: &Path, format: TableFormat) -> io::Result<()> {
+    fs::create_dir_all(dir)?;
+    let write_file = |name: &str, table: TableSlice<'_>| {
+        let path = dir.join(format!("{name}.{}", format.extension()));
+        let mut w = BufWriter::new(File::create(path)?);
+        table.write(&mut w, format, true)?;
+        w.flush()
+    };
+    for (node_type, count) in graph.node_types() {
+        let props: Vec<_> = graph.node_properties_of(node_type).collect();
+        let slice = TableSlice::new(node_type, 0..count, None, &props)?;
+        write_file(node_type, slice)?;
+    }
+    for (edge_type, meta, table) in graph.edge_types() {
+        let props: Vec<_> = graph.edge_properties_of(edge_type).collect();
+        let endpoints = Some(Endpoints {
+            source: &meta.source,
+            target: &meta.target,
+            table,
+        });
+        let slice = TableSlice::new(edge_type, 0..table.len(), endpoints, &props)?;
+        write_file(edge_type, slice)?;
+    }
+    Ok(())
+}
 
 /// A sink that persists a whole property graph.
 pub trait Exporter {
@@ -31,17 +191,26 @@ pub trait Exporter {
     fn export(&self, graph: &PropertyGraph, dir: &Path) -> io::Result<()>;
 }
 
-/// Record one exported table file into `metrics`: per-table
-/// `datasynth_export_bytes_total` / `datasynth_export_rows_total`
-/// counters — one add per file, nothing per row. Shared by both metered
-/// exporters.
-pub(crate) fn record_export(metrics: &MetricsRegistry, table: &str, rows: u64, bytes: u64) {
-    metrics
-        .counter_with("datasynth_export_bytes_total", Some(("table", table)))
-        .add(bytes);
-    metrics
-        .counter_with("datasynth_export_rows_total", Some(("table", table)))
-        .add(rows);
+/// CSV directory export: one wide `<type>.csv` per node type (`id` + all
+/// properties) and one per edge type (`id,tail,head` + all properties).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CsvExporter;
+
+impl Exporter for CsvExporter {
+    fn export(&self, graph: &PropertyGraph, dir: &Path) -> io::Result<()> {
+        export_dir(graph, dir, TableFormat::Csv)
+    }
+}
+
+/// JSONL export: `<type>.jsonl` per node and edge type; each line is a
+/// self-contained JSON object.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct JsonlExporter;
+
+impl Exporter for JsonlExporter {
+    fn export(&self, graph: &PropertyGraph, dir: &Path) -> io::Result<()> {
+        export_dir(graph, dir, TableFormat::Jsonl)
+    }
 }
 
 /// Escape a CSV field per RFC 4180 (quote when it contains separators).

@@ -11,39 +11,19 @@ use datasynth_schema::{Schema, TemporalDef};
 use datasynth_tables::export::ops::{
     write_op_row_csv, write_op_row_jsonl, write_ops_header, OpRow,
 };
+use datasynth_tables::export::TableFormat;
 use datasynth_telemetry::MetricsRegistry;
 
 use crate::{OpKind, TypeClock};
 
-/// Serialization format of the op log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OpsFormat {
-    /// CSV with an `op,ts,kind,table,row` header (shard 0 only, so shard
-    /// concatenation yields one well-formed file).
-    #[default]
-    Csv,
-    /// JSON lines, one op object per line.
-    Jsonl,
-}
-
-impl OpsFormat {
-    /// Parse a CLI/query keyword (`csv` / `jsonl`).
-    pub fn from_keyword(kw: &str) -> Option<Self> {
-        match kw {
-            "csv" => Some(OpsFormat::Csv),
-            "jsonl" => Some(OpsFormat::Jsonl),
-            _ => None,
-        }
-    }
-}
+/// Serialization format of the op log: the workspace's one csv/jsonl
+/// enum. CSV logs carry an `op,ts,kind,table,row` header.
+pub type OpsFormat = TableFormat;
 
 /// The conventional op-log file name for `format` (`ops.csv` /
 /// `ops.jsonl`).
-pub fn ops_file_name(format: OpsFormat) -> &'static str {
-    match format {
-        OpsFormat::Csv => "ops.csv",
-        OpsFormat::Jsonl => "ops.jsonl",
-    }
+pub fn ops_file_name(format: OpsFormat) -> String {
+    format!("ops.{}", format.extension())
 }
 
 /// One temporal table: its position in the global tie-break order, its
@@ -196,7 +176,7 @@ impl<W: Write> GraphSink for TemporalSink<W> {
         let mut bytes = 0u64;
         let mut content_hash = 0u64;
         let mut kind_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
-        if self.shard.index == 0 && self.format == OpsFormat::Csv {
+        if self.shard.writes_header(self.format) {
             buf.clear();
             write_ops_header(&mut buf).map_err(SinkError::Io)?;
             bytes += buf.len() as u64;

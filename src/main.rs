@@ -246,7 +246,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--ops-format" => {
                 let kw = iter.next().ok_or("--ops-format takes csv or jsonl")?;
-                args.ops_format = OpsFormat::from_keyword(&kw)
+                args.ops_format = OpsFormat::from_extension(&kw)
                     .ok_or_else(|| format!("unknown ops format {kw:?} (csv | jsonl)"))?;
             }
             other if !other.starts_with('-') => positional.push(PathBuf::from(other)),

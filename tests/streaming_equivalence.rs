@@ -100,6 +100,48 @@ fn streaming_sinks_match_in_memory_export_byte_for_byte() {
     }
 }
 
+#[test]
+fn table_sink_streams_match_sink_files_and_exporter_files() {
+    // One write path, three ways in: for every table and format the
+    // single-table stream, the directory sink's file and the whole-graph
+    // exporter's file are the same bytes — and per-shard streams tile it.
+    let generator = DataSynth::from_dsl(SCHEMA).unwrap().with_seed(42);
+
+    let export_dir = fresh_dir("table-export");
+    let graph = generator.generate().unwrap();
+    CsvExporter.export(&graph, &export_dir).unwrap();
+    JsonlExporter.export(&graph, &export_dir).unwrap();
+    let exported = snapshot(&export_dir);
+    fs::remove_dir_all(&export_dir).unwrap();
+
+    let sink_dir = fresh_dir("table-sink");
+    let mut csv = CsvSink::new(&sink_dir);
+    let mut jsonl = JsonlSink::new(&sink_dir);
+    let mut sinks = MultiSink::new().with(&mut csv).with(&mut jsonl);
+    generator.session().unwrap().run_into(&mut sinks).unwrap();
+    let sunk = snapshot(&sink_dir);
+    fs::remove_dir_all(&sink_dir).unwrap();
+
+    for table in ["Person", "Message", "knows", "creates"] {
+        for format in [TableFormat::Csv, TableFormat::Jsonl] {
+            let stream = |shard: Option<u64>| {
+                let mut session = generator.session().unwrap();
+                if let Some(index) = shard {
+                    session = session.shard(index, 3).unwrap();
+                }
+                let mut sink = TableSink::new(table, format, Vec::new());
+                session.run_into(&mut sink).unwrap();
+                sink.into_inner()
+            };
+            let file = format!("{table}.{}", format.extension());
+            assert_eq!(stream(None), sunk[&file], "{file}: TableSink vs dir sink");
+            assert_eq!(sunk[&file], exported[&file], "{file}: dir sink vs exporter");
+            let tiled: Vec<u8> = (0..3).flat_map(|i| stream(Some(i))).collect();
+            assert_eq!(tiled, sunk[&file], "{file}: shards 0/3..2/3 concatenated");
+        }
+    }
+}
+
 /// The "N" of the thread matrix: CI re-runs the suite with
 /// `DATASYNTH_TEST_THREADS=7`.
 fn matrix_threads() -> usize {
