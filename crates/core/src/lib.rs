@@ -42,7 +42,7 @@
 //!
 //! The streaming path exports without materializing the graph — and a
 //! [`MultiSink`] lets several consumers share the single pass. Progress
-//! observers receive each task's row count and wall time at
+//! observers receive each task's row count and execute time at
 //! [`TaskPhase::Finished`], and [`Session::run_into`] returns a
 //! [`RunReport`] with the full per-task/per-table telemetry:
 //!

@@ -36,12 +36,14 @@ pub struct TaskReport {
     /// Rows the task produced — window-sized in a sharded run for
     /// windowed tasks, full-sized for recomputed ones. Deterministic.
     pub rows: u64,
-    /// Time spent in the ready queue before a worker picked the task up
-    /// (zero in sequential runs).
+    /// Time spent in the ready set — from the moment the task's last
+    /// dependency committed to the moment a worker picked it up (with one
+    /// worker, that is the time earlier tasks in plan order took).
     pub queue_wait: Duration,
     /// Coordinator time collecting the task's inputs.
     pub gather: Duration,
-    /// Worker time running the task body.
+    /// Worker time running the task body — what progress observers
+    /// receive as `TaskProgress::elapsed`.
     pub execute: Duration,
     /// Coordinator time storing the output and delivering the slot's
     /// scheduled artifacts to the sink.
@@ -79,8 +81,9 @@ pub struct RunReport {
     /// Total execute time across all workers (the numerator of
     /// [`worker_occupancy`](Self::worker_occupancy)).
     pub busy: Duration,
-    /// High-water mark of the reorder buffer: the most completed-but-
-    /// undelivered tasks held at once (0 in sequential runs).
+    /// High-water mark of the reorder buffer: the most completed tasks
+    /// held back at once behind an earlier slot that was still running
+    /// (always 0 with one worker, which completes slots in plan order).
     pub max_reorder_depth: u64,
     /// Snapshot of the attached metrics registry, if any — scheduler and
     /// sink series beyond what the typed fields above carry.

@@ -25,7 +25,7 @@
 //! `--workload` holds the tables curation samples until the run ends.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -141,6 +141,35 @@ options:
   --help            this text
 ";
 
+/// The arguments after the (sub)command name, consumed flag by flag. All
+/// four argument loops read values through it, so a missing or malformed
+/// value is reported the same way everywhere: "`--flag` takes `what`".
+struct Flags(std::iter::Peekable<std::iter::Skip<std::env::Args>>);
+
+impl Flags {
+    /// Everything after the first `skip` arguments (program name and, for
+    /// subcommands, the subcommand).
+    fn after(skip: usize) -> Self {
+        Flags(std::env::args().skip(skip).peekable())
+    }
+
+    fn next(&mut self) -> Option<String> {
+        self.0.next()
+    }
+
+    /// The value following `flag`, as given.
+    fn value(&mut self, flag: &str, what: &str) -> Result<String, String> {
+        self.next().ok_or_else(|| format!("{flag} takes {what}"))
+    }
+
+    /// The value following `flag`, parsed as a `T`.
+    fn parsed<T: std::str::FromStr>(&mut self, flag: &str, what: &str) -> Result<T, String> {
+        self.next()
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| format!("{flag} takes {what}"))
+    }
+}
+
 /// Parse `I/K` into a validated [`ShardSpec`].
 fn parse_shard(spec: &str) -> Result<ShardSpec, String> {
     let (i, k) = spec
@@ -176,45 +205,25 @@ fn parse_args() -> Result<Args, String> {
         ops_format: OpsFormat::Csv,
     };
     let mut positional = Vec::new();
-    let mut iter = std::env::args().skip(1).peekable();
-    while let Some(a) = iter.next() {
+    let mut flags = Flags::after(1);
+    while let Some(a) = flags.next() {
         match a.as_str() {
             "--help" | "-h" => return Err(String::new()),
-            "--seed" => {
-                args.seed = iter
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--seed takes an integer")?;
-            }
-            "--out" => {
-                args.out = Some(iter.next().ok_or("--out takes a directory")?.into());
-            }
+            "--seed" => args.seed = flags.parsed(&a, "an integer")?,
+            "--out" => args.out = Some(flags.value(&a, "a directory")?.into()),
             "--format" => {
-                args.format = match iter.next().as_deref() {
+                args.format = match flags.next().as_deref() {
                     Some("csv") => Format::Csv,
                     Some("jsonl") => Format::Jsonl,
                     Some("both") => Format::Both,
                     other => return Err(format!("unknown format {other:?}")),
                 };
             }
-            "--threads" => {
-                args.threads = Some(
-                    iter.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--threads takes an integer")?,
-                );
-            }
-            "--shard" => {
-                let spec = iter.next().ok_or("--shard takes I/K (e.g. 0/3)")?;
-                args.shard = Some(parse_shard(&spec)?);
-            }
+            "--threads" => args.threads = Some(flags.parsed(&a, "an integer")?),
+            "--shard" => args.shard = Some(parse_shard(&flags.value(&a, "I/K (e.g. 0/3)")?)?),
             "--merge-manifests" => {
-                while let Some(dir) = iter.peek() {
-                    if dir.starts_with('-') {
-                        break;
-                    }
-                    args.merge_manifests
-                        .push(iter.next().expect("peeked").into());
+                while let Some(dir) = flags.0.next_if(|dir| !dir.starts_with('-')) {
+                    args.merge_manifests.push(dir.into());
                 }
                 if args.merge_manifests.is_empty() {
                     return Err("--merge-manifests takes one or more shard directories".into());
@@ -223,29 +232,17 @@ fn parse_args() -> Result<Args, String> {
             "--list-generators" => args.list_generators = true,
             "--plan" => args.plan_only = true,
             "--progress" => args.progress = true,
-            "--report" => {
-                args.report = Some(iter.next().ok_or("--report takes a file path")?.into());
-            }
+            "--report" => args.report = Some(flags.value(&a, "a file path")?.into()),
             "--stats" => args.stats = true,
-            "--workload" => {
-                args.workload = Some(iter.next().ok_or("--workload takes a directory")?.into());
-            }
-            "--queries" => {
-                args.queries = Some(
-                    iter.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--queries takes an integer")?,
-                );
-            }
+            "--workload" => args.workload = Some(flags.value(&a, "a directory")?.into()),
+            "--queries" => args.queries = Some(flags.parsed(&a, "an integer")?),
             "--query-mix" => {
-                let spec = iter.next().ok_or("--query-mix takes a kind:weight list")?;
+                let spec = flags.value(&a, "a kind:weight list")?;
                 args.query_mix = Some(QueryMix::parse(&spec).map_err(|e| e.to_string())?);
             }
-            "--ops" => {
-                args.ops = Some(iter.next().ok_or("--ops takes a directory")?.into());
-            }
+            "--ops" => args.ops = Some(flags.value(&a, "a directory")?.into()),
             "--ops-format" => {
-                let kw = iter.next().ok_or("--ops-format takes csv or jsonl")?;
+                let kw = flags.value(&a, "csv or jsonl")?;
                 args.ops_format = OpsFormat::from_extension(&kw)
                     .ok_or_else(|| format!("unknown ops format {kw:?} (csv | jsonl)"))?;
             }
@@ -421,6 +418,32 @@ fn merge_manifests(dirs: &[PathBuf], out: Option<&PathBuf>) -> Result<(), String
     Ok(())
 }
 
+/// Read the schema file at `path`, build the command's `T` from its text
+/// with `parse` (each command words parse errors its own way), and put the
+/// schema through the lint gate every generating command applies: error
+/// diagnostics abort before any row is generated, warnings and notes
+/// (DS008 when a schema derives no executable workload, ...) go to stderr.
+/// `datasynth lint` gives the same report standalone (and as JSON).
+fn load_linted<T>(
+    path: &Path,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+    schema_of: impl FnOnce(&T) -> &Schema,
+) -> Result<T, String> {
+    let src = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let parsed = parse(&src)?;
+    let report = datasynth::lint::lint(schema_of(&parsed));
+    if !report.is_clean() {
+        let origin = path.display().to_string();
+        let text = datasynth::lint::render_text(&report, Some(&origin), Some(&src));
+        if report.has_errors() {
+            return Err(format!("schema rejected by lint:\n{text}"));
+        }
+        eprint!("{text}");
+    }
+    Ok(parsed)
+}
+
 fn run(args: &Args) -> Result<(), String> {
     if args.list_generators {
         list_generators();
@@ -429,28 +452,11 @@ fn run(args: &Args) -> Result<(), String> {
     if !args.merge_manifests.is_empty() {
         return merge_manifests(&args.merge_manifests, args.out.as_ref());
     }
-    let src = std::fs::read_to_string(&args.schema_path)
-        .map_err(|e| format!("cannot read {}: {e}", args.schema_path.display()))?;
-    let mut generator = DataSynth::from_dsl(&src)
-        .map_err(|e| e.to_string())?
-        .with_seed(args.seed);
+    let from_dsl = |src: &str| DataSynth::from_dsl(src).map_err(|e| e.to_string());
+    let mut generator =
+        load_linted(&args.schema_path, from_dsl, DataSynth::schema)?.with_seed(args.seed);
     if let Some(t) = args.threads {
         generator = generator.with_threads(t);
-    }
-
-    // Every run is linted first: error diagnostics abort before any row
-    // is generated, warnings/notes go to stderr. `datasynth lint` gives
-    // the same report standalone (and as JSON).
-    {
-        let report = datasynth::lint::lint(generator.schema());
-        if !report.is_clean() {
-            let origin = args.schema_path.display().to_string();
-            let text = datasynth::lint::render_text(&report, Some(&origin), Some(&src));
-            if report.has_errors() {
-                return Err(format!("schema rejected by lint:\n{text}"));
-            }
-            eprint!("{text}");
-        }
     }
 
     if args.plan_only {
@@ -749,16 +755,16 @@ fn run_lint() -> Result<ExitCode, String> {
     let mut path: Option<PathBuf> = None;
     let mut deny_warnings = false;
     let mut json = false;
-    let mut iter = std::env::args().skip(2);
-    while let Some(a) = iter.next() {
+    let mut flags = Flags::after(2);
+    while let Some(a) = flags.next() {
         match a.as_str() {
             "--help" | "-h" => return Err(String::new()),
-            "--deny" => match iter.next().as_deref() {
+            "--deny" => match flags.next().as_deref() {
                 Some("warnings") => deny_warnings = true,
                 other => return Err(format!("--deny takes `warnings`, got {other:?}")),
             },
             "--format" => {
-                json = match iter.next().as_deref() {
+                json = match flags.next().as_deref() {
                     Some("text") => false,
                     Some("json") => true,
                     other => return Err(format!("unknown lint format {other:?} (text | json)")),
@@ -775,8 +781,7 @@ fn run_lint() -> Result<ExitCode, String> {
     let path = path.ok_or("lint takes a schema file")?;
     let src = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let schema =
-        datasynth::schema::parse_schema(&src).map_err(|e| format!("{}:{e}", path.display()))?;
+    let schema = parse_schema(&src).map_err(|e| format!("{}:{e}", path.display()))?;
     let report = lint(&schema);
     if json {
         println!("{}", report.to_json());
@@ -811,57 +816,22 @@ fn run_bench_workload() -> Result<ExitCode, String> {
     let mut from: Option<PathBuf> = None;
     let mut report_path = PathBuf::from("bench_report.json");
     let mut metrics_path: Option<PathBuf> = None;
-    let mut iter = std::env::args().skip(2);
-    while let Some(a) = iter.next() {
+    let mut flags = Flags::after(2);
+    while let Some(a) = flags.next() {
         match a.as_str() {
             "--help" | "-h" => return Err(String::new()),
-            "--seed" => {
-                seed = iter
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--seed takes an integer")?;
-            }
-            "--threads" => {
-                threads = Some(
-                    iter.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--threads takes an integer")?,
-                );
-            }
+            "--seed" => seed = flags.parsed(&a, "an integer")?,
+            "--threads" => threads = Some(flags.parsed(&a, "an integer")?),
             "--mix" => {
-                let spec = iter.next().ok_or("--mix takes a kind:weight list")?;
+                let spec = flags.value(&a, "a kind:weight list")?;
                 mix = Some(QueryMix::parse(&spec).map_err(|e| e.to_string())?);
             }
-            "--queries" => {
-                queries = Some(
-                    iter.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--queries takes an integer")?,
-                );
-            }
-            "--warmup" => {
-                warmup = Some(
-                    iter.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--warmup takes an integer")?,
-                );
-            }
-            "--iters" => {
-                iters = Some(
-                    iter.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--iters takes an integer")?,
-                );
-            }
-            "--from" => {
-                from = Some(iter.next().ok_or("--from takes a directory")?.into());
-            }
-            "--report" => {
-                report_path = iter.next().ok_or("--report takes a file path")?.into();
-            }
-            "--metrics" => {
-                metrics_path = Some(iter.next().ok_or("--metrics takes a file path")?.into());
-            }
+            "--queries" => queries = Some(flags.parsed(&a, "an integer")?),
+            "--warmup" => warmup = Some(flags.parsed(&a, "an integer")?),
+            "--iters" => iters = Some(flags.parsed(&a, "an integer")?),
+            "--from" => from = Some(flags.value(&a, "a directory")?.into()),
+            "--report" => report_path = flags.value(&a, "a file path")?.into(),
+            "--metrics" => metrics_path = Some(flags.value(&a, "a file path")?.into()),
             other if !other.starts_with('-') => {
                 if path.replace(PathBuf::from(other)).is_some() {
                     return Err("bench-workload takes exactly one schema file".into());
@@ -871,24 +841,8 @@ fn run_bench_workload() -> Result<ExitCode, String> {
         }
     }
     let path = path.ok_or("bench-workload takes a schema file")?;
-    let src = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let schema =
-        datasynth::schema::parse_schema(&src).map_err(|e| format!("{}:{e}", path.display()))?;
-
-    // Same lint gate as a generation run: errors abort, the rest goes to
-    // stderr (DS008 notes when a schema derives no executable workload).
-    {
-        let report = datasynth::lint::lint(&schema);
-        if !report.is_clean() {
-            let origin = path.display().to_string();
-            let text = datasynth::lint::render_text(&report, Some(&origin), Some(&src));
-            if report.has_errors() {
-                return Err(format!("schema rejected by lint:\n{text}"));
-            }
-            eprint!("{text}");
-        }
-    }
+    let parse = |src: &str| parse_schema(src).map_err(|e| format!("{}:{e}", path.display()));
+    let schema = load_linted(&path, parse, |schema| schema)?;
 
     let metrics = Arc::new(MetricsRegistry::new());
     let mut bench = Bench::new(&schema)
@@ -981,32 +935,14 @@ fn run_serve() -> Result<(), String> {
     let mut threads: Option<usize> = None;
     let mut workers: Option<usize> = None;
     let mut max_graphs: Option<usize> = None;
-    let mut iter = std::env::args().skip(2);
-    while let Some(a) = iter.next() {
+    let mut flags = Flags::after(2);
+    while let Some(a) = flags.next() {
         match a.as_str() {
             "--help" | "-h" => return Err(String::new()),
-            "--addr" => addr = Some(iter.next().ok_or("--addr takes HOST:PORT")?),
-            "--threads" => {
-                threads = Some(
-                    iter.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--threads takes an integer")?,
-                );
-            }
-            "--workers" => {
-                workers = Some(
-                    iter.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--workers takes an integer")?,
-                );
-            }
-            "--max-graphs" => {
-                max_graphs = Some(
-                    iter.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--max-graphs takes an integer")?,
-                );
-            }
+            "--addr" => addr = Some(flags.value(&a, "HOST:PORT")?),
+            "--threads" => threads = Some(flags.parsed(&a, "an integer")?),
+            "--workers" => workers = Some(flags.parsed(&a, "an integer")?),
+            "--max-graphs" => max_graphs = Some(flags.parsed(&a, "an integer")?),
             other => return Err(format!("unknown serve flag {other:?}")),
         }
     }
@@ -1033,67 +969,38 @@ fn run_serve() -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    if std::env::args().nth(1).as_deref() == Some("lint") {
-        return match run_lint() {
-            Ok(code) => code,
-            Err(msg) => {
-                if msg.is_empty() {
-                    eprint!("{USAGE}");
-                    return ExitCode::SUCCESS;
-                }
-                eprintln!("error: {msg}\n");
-                eprint!("{USAGE}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    if std::env::args().nth(1).as_deref() == Some("bench-workload") {
-        return match run_bench_workload() {
-            Ok(code) => code,
-            Err(msg) => {
-                if msg.is_empty() {
-                    eprint!("{USAGE}");
-                    return ExitCode::SUCCESS;
-                }
-                eprintln!("error: {msg}\n");
-                eprint!("{USAGE}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    if std::env::args().nth(1).as_deref() == Some("serve") {
-        return match run_serve() {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                if msg.is_empty() {
-                    eprint!("{USAGE}");
-                    return ExitCode::SUCCESS;
-                }
-                eprintln!("error: {msg}\n");
-                eprint!("{USAGE}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    match parse_args() {
+/// Turn a command's outcome into the process exit code. An argument
+/// error prints the usage text and exits 2 — or 0 when the "error" is the
+/// empty message `--help` produces.
+fn exit_with(outcome: Result<ExitCode, String>) -> ExitCode {
+    match outcome {
+        Ok(code) => code,
         Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}\n");
-            }
-            eprint!("{USAGE}");
-            if msg.is_empty() {
+            let code = if msg.is_empty() {
                 ExitCode::SUCCESS
             } else {
+                eprintln!("error: {msg}\n");
                 ExitCode::from(2)
-            }
+            };
+            eprint!("{USAGE}");
+            code
         }
-        Ok(args) => match run(&args) {
+    }
+}
+
+fn main() -> ExitCode {
+    exit_with(match std::env::args().nth(1).as_deref() {
+        Some("lint") => run_lint(),
+        Some("bench-workload") => run_bench_workload(),
+        Some("serve") => run_serve().map(|()| ExitCode::SUCCESS),
+        // Generation: only argument errors print the usage text; a failed
+        // run reports its error and exits 1.
+        _ => parse_args().map(|args| match run(&args) {
             Ok(()) => ExitCode::SUCCESS,
             Err(msg) => {
                 eprintln!("error: {msg}");
                 ExitCode::FAILURE
             }
-        },
-    }
+        }),
+    })
 }

@@ -4,6 +4,7 @@
 //! guarantee that makes the sink API a pure refactor of the emission path,
 //! not a new format. Plus a proptest round-trip for CSV quoting/escaping.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -11,8 +12,10 @@ use std::path::{Path, PathBuf};
 use proptest::prelude::*;
 
 use datasynth::analysis::StatsSink;
+use datasynth::core::{analyze, emission_schedule, Artifact};
 use datasynth::prelude::*;
 use datasynth::tables::export::csv_escape;
+use datasynth::tables::{EdgeTable, PropertyTable};
 use datasynth::workload::WorkloadSink;
 
 const SCHEMA: &str = r#"
@@ -304,6 +307,181 @@ fn observer_sees_every_task_start_and_finish() {
     for i in 0..total {
         assert_eq!(events[2 * i], (i, false), "start of task {i}");
         assert_eq!(events[2 * i + 1], (i, true), "finish of task {i}");
+    }
+}
+
+/// One entry of the log an observer and a sink share in the tests below.
+#[derive(Debug, Clone, PartialEq)]
+enum Event {
+    Started(usize),
+    Finished(usize),
+    Sink(String),
+}
+
+/// Records every per-slot sink callback into a shared log, and fails the
+/// `fail_at`-th callback of the run (1-based, `begin` and `finish`
+/// included) with an error naming it.
+struct LogSink<'l> {
+    log: &'l RefCell<Vec<Event>>,
+    calls: usize,
+    fail_at: usize,
+    finished: bool,
+}
+
+impl<'l> LogSink<'l> {
+    fn new(log: &'l RefCell<Vec<Event>>, fail_at: usize) -> Self {
+        LogSink {
+            log,
+            calls: 0,
+            fail_at,
+            finished: false,
+        }
+    }
+
+    fn call(&mut self, what: String) -> Result<(), SinkError> {
+        self.calls += 1;
+        if self.calls == self.fail_at {
+            return Err(SinkError::invalid(format!(
+                "callback {} ({what}) failed",
+                self.calls
+            )));
+        }
+        self.log.borrow_mut().push(Event::Sink(what));
+        Ok(())
+    }
+}
+
+impl GraphSink for LogSink<'_> {
+    fn begin(&mut self, _: &SinkManifest) -> Result<(), SinkError> {
+        self.call("begin".into())
+    }
+    fn table_rows(&mut self, t: &str, _: std::ops::Range<u64>, _: u64) -> Result<(), SinkError> {
+        self.call(format!("rows {t}"))
+    }
+    fn node_count(&mut self, t: &str, _: u64) -> Result<(), SinkError> {
+        self.call(format!("count {t}"))
+    }
+    fn node_property(&mut self, t: &str, p: &str, _: PropertyTable) -> Result<(), SinkError> {
+        self.call(format!("column {t}.{p}"))
+    }
+    fn edges(&mut self, e: &str, _: &str, _: &str, _: EdgeTable) -> Result<(), SinkError> {
+        self.call(format!("edges {e}"))
+    }
+    fn edge_property(&mut self, e: &str, p: &str, _: PropertyTable) -> Result<(), SinkError> {
+        self.call(format!("column {e}.{p}"))
+    }
+    fn finish(&mut self) -> Result<(), SinkError> {
+        self.finished = true;
+        self.call("finish".into())
+    }
+}
+
+/// Run SCHEMA at `threads` with an observer and a [`LogSink`] writing one
+/// log; returns the log, the run's outcome, the callbacks the sink saw and
+/// whether `finish` was among them.
+fn logged_run(
+    threads: usize,
+    fail_at: usize,
+) -> (Vec<Event>, Result<(), PipelineError>, usize, bool) {
+    let log = RefCell::new(Vec::new());
+    let generator = DataSynth::from_dsl(SCHEMA)
+        .unwrap()
+        .with_seed(1)
+        .with_threads(threads);
+    let mut sink = LogSink::new(&log, fail_at);
+    let outcome = generator
+        .session()
+        .unwrap()
+        .on_task(|p| {
+            log.borrow_mut().push(match p.phase {
+                TaskPhase::Finished => Event::Finished(p.index),
+                _ => Event::Started(p.index),
+            });
+        })
+        .run_into(&mut sink)
+        .map(|_| ());
+    let (calls, finished) = (sink.calls, sink.finished);
+    (log.into_inner(), outcome, calls, finished)
+}
+
+#[test]
+fn one_worker_runs_in_plan_order_with_live_started_events() {
+    // What slot i hands the sink, derived independently of the runner: the
+    // window announcement (and count) the task resolves, then every
+    // artifact whose last use is slot i.
+    let schema = parse_schema(SCHEMA).unwrap();
+    let analysis = analyze(&schema).unwrap();
+    let schedule = emission_schedule(&schema, &analysis);
+    let mut expected = vec![Event::Sink("begin".into())];
+    for (i, task) in analysis.plan.tasks.iter().enumerate() {
+        expected.push(Event::Started(i));
+        match task {
+            Task::NodeCount(t) => {
+                expected.push(Event::Sink(format!("rows {t}")));
+                expected.push(Event::Sink(format!("count {t}")));
+            }
+            Task::Match(e) => expected.push(Event::Sink(format!("rows {e}"))),
+            _ => {}
+        }
+        expected.extend(schedule[i].iter().map(|artifact| {
+            Event::Sink(match artifact {
+                Artifact::Edges(e) => format!("edges {e}"),
+                column => format!("column {column}"),
+            })
+        }));
+        expected.push(Event::Finished(i));
+    }
+    expected.push(Event::Sink("finish".into()));
+
+    // One worker: started(i), slot i's sink events, finished(i) — the
+    // plan executed in plan order, `Started` ahead of the task's output.
+    let (single, outcome, _, _) = logged_run(1, usize::MAX);
+    outcome.unwrap();
+    assert_eq!(single, expected);
+
+    // A pool interleaves the two streams differently (a slot's `Started`
+    // can trail its execution), but each stream alone is unchanged.
+    let (multi, outcome, _, _) = logged_run(matrix_threads(), usize::MAX);
+    outcome.unwrap();
+    let is_sink = |e: &&Event| matches!(e, Event::Sink(_));
+    let sink_side = |log: &[Event]| log.iter().filter(is_sink).cloned().collect::<Vec<_>>();
+    let observer_side = |log: &[Event]| {
+        log.iter()
+            .filter(|e| !is_sink(e))
+            .cloned()
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(sink_side(&multi), sink_side(&expected));
+    assert_eq!(observer_side(&multi), observer_side(&expected));
+}
+
+#[test]
+fn a_failing_sink_ends_in_a_typed_error_at_any_callback_and_thread_count() {
+    let (_, outcome, callbacks, finished) = logged_run(1, usize::MAX);
+    outcome.unwrap();
+    assert!(
+        finished && callbacks > 10,
+        "begin + per-slot events + finish"
+    );
+
+    for fail_at in 1..=callbacks {
+        let mut errors = Vec::new();
+        for threads in [1, matrix_threads()] {
+            // Returning at all means the pool was closed and joined.
+            let (_, outcome, calls, finished) = logged_run(threads, fail_at);
+            match outcome {
+                Err(PipelineError::Sink(SinkError::Invalid(msg))) => errors.push(msg),
+                other => panic!("callback {fail_at} at {threads} threads: got {other:?}"),
+            }
+            assert_eq!(calls, fail_at, "no sink callback after the failed one");
+            assert_eq!(
+                finished,
+                fail_at == callbacks,
+                "finish only as the last call"
+            );
+        }
+        assert!(errors[0].starts_with(&format!("callback {fail_at} (")));
+        assert_eq!(errors[0], errors[1], "same failure at 1 and N threads");
     }
 }
 

@@ -146,6 +146,40 @@ fn observed_rows_match_report_and_windowed_shards_sum_to_full_run() {
     }
 }
 
+/// The "N" of the thread matrix: CI re-runs the suite with
+/// `DATASYNTH_TEST_THREADS=7`.
+fn matrix_threads() -> usize {
+    std::env::var("DATASYNTH_TEST_THREADS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(7)
+}
+
+#[test]
+fn observed_elapsed_is_the_reported_execute_time_at_any_thread_count() {
+    // One rule on the one scheduler: `elapsed` is the task body's time —
+    // not gather, commit or the sink's share of the slot — so --progress
+    // rates mean the same thing at every --threads.
+    for threads in [1, matrix_threads()] {
+        let generator = DataSynth::from_dsl(SCHEMA)
+            .unwrap()
+            .with_seed(31)
+            .with_threads(threads);
+        let mut observed = Vec::new();
+        let report = generator
+            .session()
+            .unwrap()
+            .on_task(|p| match p.phase {
+                TaskPhase::Finished => observed.push(p.elapsed.expect("elapsed at Finished")),
+                _ => assert!(p.elapsed.is_none() && p.rows.is_none()),
+            })
+            .run_into(&mut Discard)
+            .unwrap();
+        let reported: Vec<_> = report.tasks.iter().map(|t| t.execute).collect();
+        assert_eq!(observed, reported, "threads={threads}");
+    }
+}
+
 #[test]
 fn metered_sink_bytes_match_files_on_disk() {
     let dir: PathBuf =
