@@ -128,10 +128,10 @@ fn bench_parallel_pipeline(c: &mut Criterion) {
     group.sample_size(10);
     // 20k nodes x 3 props + (16 + 2) x 20k edges + 320k edge props.
     group.throughput(Throughput::Elements(20_000 * 3 + 18 * 20_000 + 320_000));
-    // Fixed thread counts, not `default_threads()`: the persisted
-    // trajectory must carry the same rows on every runner so deltas
-    // compare like with like (oversubscribed rows document scheduler
-    // overhead on small machines rather than being dropped).
+    // Fixed thread counts, not `default_threads()`: every machine
+    // prints the same rows, so runs compare like with like
+    // (oversubscribed rows document scheduler overhead on small
+    // machines rather than being dropped).
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(
             BenchmarkId::new("structure_heavy_20k_accounts", threads),

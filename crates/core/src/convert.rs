@@ -3,8 +3,8 @@
 
 use datasynth_matching::Jpd;
 use datasynth_props::GenArg;
-use datasynth_schema::{GeneratorSpec, SpecArg};
-use datasynth_structure::{ParamValue, Params};
+use datasynth_schema::{Cardinality, EdgeType, GeneratorSpec, SpecArg};
+use datasynth_structure::{BoxedStructureGenerator, ParamValue, Params, StructureRegistry};
 
 use crate::error::PipelineError;
 
@@ -43,6 +43,27 @@ pub fn structure_params_of(spec: &GeneratorSpec) -> Result<Params, PipelineError
     }
     Ok(params)
 }
+
+/// The structure generator `edge` runs: its `structure = ...` clause, or
+/// the cardinality-driven default when it declares none. The runner and
+/// the linter both build through here, so they cannot disagree.
+pub fn structure_generator_of(
+    edge: &EdgeType,
+    structures: &StructureRegistry,
+) -> Result<BoxedStructureGenerator, PipelineError> {
+    let (name, params) = match &edge.structure {
+        Some(spec) => (spec.name.as_str(), structure_params_of(spec)?),
+        None => match edge.cardinality {
+            Cardinality::OneToOne => ("one_to_one", Params::new()),
+            Cardinality::OneToMany => ("one_to_many", Params::new()),
+            Cardinality::ManyToMany => ("erdos_renyi", Params::new().with_num("p", 0.01)),
+        },
+    };
+    Ok(structures.build(name, &params)?)
+}
+
+/// The correlation targets [`build_jpd`] knows.
+pub const JPD_NAMES: &[&str] = &["homophily", "uniform", "proportional"];
 
 /// Build the target JPD for a correlation clause, given the observed value
 /// frequencies of the correlated property (in group order).

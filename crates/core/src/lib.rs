@@ -77,7 +77,7 @@ mod report;
 mod runner;
 mod sink;
 
-pub use convert::{build_jpd, gen_args_of, structure_params_of};
+pub use convert::{build_jpd, gen_args_of, structure_generator_of, structure_params_of, JPD_NAMES};
 pub use dependency::{
     analyze, emission_schedule, shard_modes, Analysis, Artifact, CountSource, ExecutionPlan,
     ShardMode, ShardPlan, ShardTaskPlan, Task,

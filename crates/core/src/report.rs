@@ -264,8 +264,6 @@ impl RunReport {
         );
         out.push_str("# TYPE datasynth_threads gauge\n");
         prometheus::write_sample(&mut out, "datasynth_threads", &[], self.threads as u64);
-        out.push_str("# TYPE datasynth_workers gauge\n");
-        prometheus::write_sample(&mut out, "datasynth_workers", &[], self.workers as u64);
         out.push_str("# TYPE datasynth_wall_microseconds gauge\n");
         prometheus::write_sample(
             &mut out,
@@ -273,13 +271,16 @@ impl RunReport {
             &[],
             self.wall.as_micros() as u64,
         );
-        out.push_str("# TYPE datasynth_reorder_depth_max gauge\n");
-        prometheus::write_sample(
-            &mut out,
-            "datasynth_reorder_depth_max",
-            &[],
-            self.max_reorder_depth,
-        );
+        // The runner sets these two on an attached registry, so its
+        // snapshot (appended below) already carries them: a series written
+        // twice is an exposition no Prometheus parser accepts.
+        if self.metrics.is_none() {
+            out.push_str("# TYPE datasynth_workers gauge\n");
+            prometheus::write_sample(&mut out, "datasynth_workers", &[], self.workers as u64);
+            out.push_str("# TYPE datasynth_reorder_depth_max gauge\n");
+            let depth = self.max_reorder_depth;
+            prometheus::write_sample(&mut out, "datasynth_reorder_depth_max", &[], depth);
+        }
         out.push_str("# TYPE datasynth_table_rows_total counter\n");
         for (name, rows) in &m.tables {
             prometheus::write_sample(

@@ -16,10 +16,10 @@ use datasynth_matching::{assignment_to_mapping_with_ids, sbm_part, MatchInput};
 use datasynth_prng::{seed_from_label, CounterStream, SplitMix64, TableStream};
 use datasynth_props::{PropertyGenerator, PropertyRegistry};
 use datasynth_schema::{Cardinality, DepRef, EdgeType, PropertyDef, Schema};
-use datasynth_structure::{BoxedStructureGenerator, Params, StructureRegistry};
+use datasynth_structure::StructureRegistry;
 use datasynth_tables::{Csr, EdgeTable, PropertyTable, Value};
 
-use crate::convert::{build_jpd, gen_args_of, structure_params_of};
+use crate::convert::{build_jpd, gen_args_of, structure_generator_of};
 use crate::dependency::{Artifact, CountSource, ShardMode, Task};
 use crate::error::PipelineError;
 use crate::parallel::parallel_chunks;
@@ -274,7 +274,7 @@ pub(super) fn execute(
         (Task::NodeCount(_), TaskInput::CountExplicit(c)) => Ok(TaskOutput::Count(c)),
         (Task::NodeCount(_), TaskInput::CountFromEdgeCount { edge }) => {
             let m = edge.count.expect("analysis guarantees a count");
-            let sg = build_structure_generator(ctx, &edge)?;
+            let sg = structure_generator_of(&edge, ctx.structures)?;
             Ok(TaskOutput::Count(sg.num_nodes_for_edges(m)))
         }
         (
@@ -463,24 +463,6 @@ pub(super) fn emit_slot(
     Ok(())
 }
 
-fn build_structure_generator(
-    ctx: &Ctx<'_>,
-    edge: &EdgeType,
-) -> Result<BoxedStructureGenerator, PipelineError> {
-    let (name, params) = match &edge.structure {
-        Some(spec) => (spec.name.clone(), structure_params_of(spec)?),
-        // Cardinality-driven defaults when no structure is declared.
-        None => match edge.cardinality {
-            Cardinality::OneToOne => ("one_to_one".to_owned(), Params::new()),
-            Cardinality::OneToMany => ("one_to_many".to_owned(), Params::new()),
-            Cardinality::ManyToMany => ("erdos_renyi".to_owned(), {
-                Params::new().with_num("p", 0.01)
-            }),
-        },
-    };
-    Ok(ctx.structures.build(&name, &params)?)
-}
-
 fn build_prop_generator(
     ctx: &Ctx<'_>,
     prop: &PropertyDef,
@@ -562,7 +544,7 @@ fn exec_property(
 /// single-stream `run` path.
 fn exec_structure(ctx: &Ctx<'_>, edge_name: &str, n: u64) -> Result<TaskOutput, PipelineError> {
     let edge = edge_def(ctx.schema, edge_name);
-    let sg = build_structure_generator(ctx, edge)?;
+    let sg = structure_generator_of(edge, ctx.structures)?;
     let mut rng = SplitMix64::new(seed_from_label(ctx.seed, &format!("structure.{edge_name}")));
     let et = if sg.chunkable() {
         // Identical key derivation to StructureGenerator::run for
@@ -606,6 +588,20 @@ fn exec_match(
         edge.cardinality,
         Cardinality::OneToMany | Cardinality::OneToOne
     );
+
+    // Every id that indexes a node table below (the CSR, the id maps) must
+    // be inside it: generators are user-extensible, so check, don't trust.
+    let in_range = |ids: &[u64], end: &str, node: &str, n: u64| match ids.iter().max() {
+        Some(&id) if id >= n => Err(PipelineError::Sizing(format!(
+            "edge {edge_name:?}: structure produced {end} id {id} but {node} only has {n} instances"
+        ))),
+        _ => Ok(()),
+    };
+    in_range(raw.tails(), "tail", &edge.source, n_src)?;
+    if !one_sided {
+        // One-sided heads *define* the target instances and index nothing.
+        in_range(raw.heads(), "head", &edge.target, n_dst)?;
+    }
 
     let tail_map: Vec<u64> = if let Some(corr) = &edge.correlation {
         // SBM-Part against the correlated property (same-type edges;
@@ -660,13 +656,6 @@ fn exec_match(
     } else {
         // Mixed-type many-to-many: inject raw head ids into the target
         // id space.
-        let max_head = raw.heads().iter().max().copied().unwrap_or(0);
-        if max_head >= n_dst {
-            return Err(PipelineError::Sizing(format!(
-                "edge {edge_name:?}: structure produced head id {max_head} but {} only has {n_dst} instances",
-                edge.target
-            )));
-        }
         Some(random_permutation(
             n_dst,
             seed_from_label(ctx.seed, &format!("match.{edge_name}.heads")),

@@ -11,58 +11,29 @@
 //! matching_lfr20k_k16/ldg ... 12.345 ms/iter (1620.3 Kelem/s)
 //! ```
 //!
-//! Beyond printing, the harness can **persist** its results: running a
-//! bench binary with `-- --persist FILE` writes every measurement to
-//! `FILE` as JSON and, when `FILE` already holds a previous run, prints
-//! per-benchmark deltas against it first — a poor man's baseline
-//! comparison that makes the bench trajectory reviewable in the repo.
 //! `-- --quick` caps the measurement target (~60 ms per benchmark) for
-//! CI smoke runs. Unknown harness flags (`--bench`, filters, …) are
-//! ignored.
+//! smoke runs. Unknown harness flags (`--bench`, filters, …) are ignored.
 //!
-//! No statistical analysis or HTML reports are performed; swap the
+//! No statistical analysis, persistence or HTML reports are performed —
+//! these benches are a by-hand instrument for one layer; the repository's
+//! performance trajectory is the `benchmark/` package's. Swap the
 //! dependency back to the real crate when registry access is available.
 //!
 //! [`criterion`]: https://docs.rs/criterion
 
 use std::fmt;
-use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-
-use datasynth_telemetry::json::{self, Json};
 
 pub use std::hint::black_box;
 
-/// Measurement target cap under `--quick` (CI smoke mode).
+/// Measurement target cap under `--quick` (smoke mode).
 const QUICK_TARGET: Duration = Duration::from_millis(60);
 
-/// One finished measurement, as persisted by `--persist`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchRecord {
-    /// Fully-qualified `group/benchmark` label.
-    pub name: String,
-    /// Mean wall time per iteration, in nanoseconds.
-    pub ns_per_iter: u128,
-    /// Timed iterations behind the mean (excludes the warmup pass).
-    pub iters: u64,
-}
+static QUICK: OnceLock<bool> = OnceLock::new();
 
-fn records() -> &'static Mutex<Vec<BenchRecord>> {
-    static RECORDS: OnceLock<Mutex<Vec<BenchRecord>>> = OnceLock::new();
-    RECORDS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-#[derive(Debug, Default)]
-struct HarnessConfig {
-    quick: bool,
-    persist: Option<PathBuf>,
-}
-
-static CONFIG: OnceLock<HarnessConfig> = OnceLock::new();
-
-fn active_config() -> &'static HarnessConfig {
-    CONFIG.get_or_init(HarnessConfig::default)
+fn quick() -> bool {
+    *QUICK.get_or_init(|| false)
 }
 
 /// Parse harness flags from `std::env::args`. Called by the
@@ -70,118 +41,7 @@ fn active_config() -> &'static HarnessConfig {
 /// flags (cargo's `--bench`, name filters) are ignored. If never called
 /// (a group invoked directly from a test), the defaults apply.
 pub fn init_from_args() {
-    let mut cfg = HarnessConfig::default();
-    let mut iter = std::env::args().skip(1);
-    while let Some(a) = iter.next() {
-        match a.as_str() {
-            "--quick" => cfg.quick = true,
-            "--persist" => cfg.persist = iter.next().map(PathBuf::from),
-            _ => {}
-        }
-    }
-    let _ = CONFIG.set(cfg);
-}
-
-/// Serialize the recorded measurements as deterministic, pretty JSON.
-pub fn results_to_json(records: &[BenchRecord]) -> String {
-    let mut out = String::from("{\n  \"benchmarks\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str("    {\"name\": ");
-        json::write_str(&mut out, &r.name);
-        out.push_str(&format!(
-            ", \"ns_per_iter\": {}, \"iters\": {}}}{}\n",
-            r.ns_per_iter,
-            r.iters,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Parse the JSON written by [`results_to_json`]. Tolerant: records with
-/// missing or mistyped fields are skipped, as are unparseable files — a
-/// corrupt baseline only suppresses the delta report.
-pub fn parse_results(src: &str) -> Vec<BenchRecord> {
-    let Ok(root) = Json::parse(src) else {
-        return Vec::new();
-    };
-    let Some(benches) = root.get("benchmarks").and_then(Json::as_arr) else {
-        return Vec::new();
-    };
-    benches
-        .iter()
-        .filter_map(|b| {
-            Some(BenchRecord {
-                name: b.get("name")?.as_str()?.to_owned(),
-                ns_per_iter: b.get("ns_per_iter")?.as_u64()? as u128,
-                iters: b.get("iters")?.as_u64()?,
-            })
-        })
-        .collect()
-}
-
-/// Persist results and print deltas against the previous file, if any.
-/// Called by the `criterion_main!`-generated `main` after all groups ran;
-/// a no-op without `--persist`.
-pub fn finalize() {
-    let Some(path) = active_config().persist.as_ref() else {
-        return;
-    };
-    // Cargo runs bench binaries with the *package* directory as cwd, so a
-    // bare `--persist BENCH_x.json` from a workspace member would land in
-    // `crates/<member>/` while CI and humans expect it next to the
-    // workspace `Cargo.toml`. Anchor relative paths at the topmost
-    // ancestor that has a Cargo.toml.
-    let path = &if path.is_relative() {
-        workspace_root().join(path)
-    } else {
-        path.clone()
-    };
-    let current = records().lock().expect("recorder poisoned").clone();
-    if let Ok(prev_text) = std::fs::read_to_string(path) {
-        let previous = parse_results(&prev_text);
-        if !previous.is_empty() {
-            println!("\ndeltas vs previous {}:", path.display());
-            for r in &current {
-                match previous.iter().find(|p| p.name == r.name) {
-                    Some(p) if p.ns_per_iter > 0 => {
-                        let delta = (r.ns_per_iter as f64 - p.ns_per_iter as f64)
-                            / p.ns_per_iter as f64
-                            * 100.0;
-                        println!(
-                            "  {}: {} -> {} ({delta:+.1}%)",
-                            r.name,
-                            human_time(Duration::from_nanos(p.ns_per_iter as u64)),
-                            human_time(Duration::from_nanos(r.ns_per_iter as u64)),
-                        );
-                    }
-                    _ => println!("  {}: new benchmark", r.name),
-                }
-            }
-        }
-    }
-    match std::fs::write(path, results_to_json(&current)) {
-        Ok(()) => println!("\nbench results -> {}", path.display()),
-        Err(e) => eprintln!("cannot persist bench results to {}: {e}", path.display()),
-    }
-}
-
-/// The highest ancestor of the current directory that contains a
-/// `Cargo.toml` — the workspace root when run under `cargo bench`.
-fn workspace_root() -> PathBuf {
-    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    let mut root = cwd.clone();
-    let mut dir = cwd.as_path();
-    loop {
-        if dir.join("Cargo.toml").exists() {
-            root = dir.to_path_buf();
-        }
-        match dir.parent() {
-            Some(parent) => dir = parent,
-            None => return root,
-        }
-    }
+    let _ = QUICK.set(std::env::args().skip(1).any(|a| a == "--quick"));
 }
 
 /// How throughput is accounted per iteration.
@@ -304,14 +164,6 @@ fn report(group: Option<&str>, id: &str, b: &Bencher, throughput: Option<Through
         Some(g) => format!("{g}/{id}"),
         None => id.to_string(),
     };
-    records()
-        .lock()
-        .expect("recorder poisoned")
-        .push(BenchRecord {
-            name: label.clone(),
-            ns_per_iter: per_iter.as_nanos(),
-            iters: b.iters_done,
-        });
     let mut line = format!("{label} ... {}/iter", human_time(per_iter));
     if let Some(t) = throughput {
         let secs = per_iter.as_secs_f64();
@@ -342,7 +194,7 @@ impl BenchmarkGroup<'_> {
 
     /// Accepted for API compatibility; `--quick` caps it further.
     pub fn measurement_time(&mut self, d: Duration) -> &mut Self {
-        let cap = if active_config().quick {
+        let cap = if quick() {
             QUICK_TARGET
         } else {
             Duration::from_secs(2)
@@ -403,7 +255,7 @@ impl Criterion {
         } else {
             self.target
         };
-        if active_config().quick {
+        if quick() {
             target.min(QUICK_TARGET)
         } else {
             target
@@ -444,15 +296,14 @@ macro_rules! criterion_group {
     };
 }
 
-/// Declare `main` running each group, honouring the harness flags
-/// (`--quick`, `--persist FILE`) and persisting results at exit.
+/// Declare `main` running each group, honouring the harness flag
+/// `--quick`.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
             $crate::init_from_args();
             $($group();)+
-            $crate::finalize();
         }
     };
 }
@@ -478,25 +329,6 @@ mod tests {
             "sbm/Density"
         );
         assert_eq!(BenchmarkId::from_parameter(4).to_string(), "4");
-    }
-
-    #[test]
-    fn persisted_results_roundtrip() {
-        let records = vec![
-            BenchRecord {
-                name: "pipeline/full".into(),
-                ns_per_iter: 12_345_678,
-                iters: 25,
-            },
-            BenchRecord {
-                name: "odd \"name\"".into(),
-                ns_per_iter: 1,
-                iters: 1,
-            },
-        ];
-        let json = results_to_json(&records);
-        assert_eq!(parse_results(&json), records);
-        assert_eq!(parse_results("{}"), vec![]);
     }
 
     #[test]

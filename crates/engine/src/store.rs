@@ -16,7 +16,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use datasynth_schema::Schema;
-use datasynth_tables::{PropertyGraph, PropertyTable, Value};
+use datasynth_tables::{Csr, PropertyGraph, PropertyTable, Value};
 use datasynth_temporal::TypeClock;
 
 use crate::error::EngineError;
@@ -24,73 +24,7 @@ use crate::error::EngineError;
 /// Compressed sparse rows with edge-row provenance: `neighbors(v)` yields
 /// `(neighbor id, edge row)` pairs, so traversals can consult per-edge
 /// columns (properties, `_ts`) without a second lookup structure.
-#[derive(Debug, Default)]
-pub struct RowCsr {
-    offsets: Vec<u64>,
-    entries: Vec<(u64, u64)>,
-}
-
-impl RowCsr {
-    /// Build from parallel tail/head slices over `n` source rows. With
-    /// `both`, each edge is entered under both endpoints (the undirected
-    /// same-type view, where a self-loop contributes two entries — the
-    /// [`EdgeTable::degrees`](datasynth_tables::EdgeTable::degrees)
-    /// convention the curator counts with).
-    pub fn build(n: u64, tails: &[u64], heads: &[u64], both: bool) -> Self {
-        let n = n as usize;
-        let mut counts = vec![0u64; n];
-        for (t, h) in tails.iter().zip(heads) {
-            counts[*t as usize] += 1;
-            if both {
-                counts[*h as usize] += 1;
-            }
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0u64;
-        offsets.push(0);
-        for c in &counts {
-            acc += c;
-            offsets.push(acc);
-        }
-        let mut cursor: Vec<u64> = offsets[..n].to_vec();
-        let mut entries = vec![(0u64, 0u64); acc as usize];
-        for (row, (&t, &h)) in tails.iter().zip(heads).enumerate() {
-            entries[cursor[t as usize] as usize] = (h, row as u64);
-            cursor[t as usize] += 1;
-            if both {
-                entries[cursor[h as usize] as usize] = (t, row as u64);
-                cursor[h as usize] += 1;
-            }
-        }
-        RowCsr { offsets, entries }
-    }
-
-    /// The `(neighbor, edge row)` entries of vertex `v`.
-    pub fn neighbors(&self, v: u64) -> &[(u64, u64)] {
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize;
-        &self.entries[lo..hi]
-    }
-
-    /// Degree of vertex `v` under this view.
-    pub fn degree(&self, v: u64) -> u64 {
-        self.offsets[v as usize + 1] - self.offsets[v as usize]
-    }
-
-    /// Number of vertices.
-    pub fn vertex_count(&self) -> u64 {
-        (self.offsets.len() - 1) as u64
-    }
-
-    /// Total adjacency entries.
-    pub fn entry_count(&self) -> u64 {
-        self.entries.len() as u64
-    }
-
-    fn bytes(&self) -> u64 {
-        (self.offsets.len() * 8 + self.entries.len() * 16) as u64
-    }
-}
+pub type RowCsr = Csr<(u64, u64)>;
 
 /// Equality + range access paths over one property column.
 ///
@@ -239,9 +173,12 @@ impl GraphStore {
             let n = graph
                 .node_count(&meta.source)
                 .ok_or_else(|| EngineError::MissingNodeType(meta.source.clone()))?;
-            let out = RowCsr::build(n, table.tails(), table.heads(), false);
-            let both = (meta.source == meta.target)
-                .then(|| RowCsr::build(n, table.tails(), table.heads(), true));
+            // `both` is the undirected same-type view, the one the curator
+            // counts with.
+            let view =
+                |both| Csr::build(n, table.tails(), table.heads(), both, |nbr, row| (nbr, row));
+            let out = view(false);
+            let both = (meta.source == meta.target).then(|| view(true));
             adjacency.insert(edge.to_owned(), EdgeAdjacency { out, both });
         }
         for (node_type, _) in graph.node_types() {

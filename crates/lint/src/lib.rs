@@ -59,8 +59,11 @@ pub use diagnostic::{Diagnostic, LintReport, Severity};
 pub use render::render_text;
 pub use rules::{builtin_rules, LintContext, LintRule};
 
-use datasynth_core::{analyze, emission_schedule};
+use std::collections::BTreeMap;
+
+use datasynth_core::{analyze, emission_schedule, structure_generator_of};
 use datasynth_schema::{Schema, Span};
+use datasynth_structure::StructureRegistry;
 
 /// An extensible rule registry. [`Linter::builtin`] loads the shipped
 /// `DS001`–`DS008` set; [`Linter::register`] adds custom rules beside
@@ -104,7 +107,9 @@ impl Linter {
     /// Run every rule over `schema`. Dependency analysis runs once and
     /// is shared by plan-level rules; when analysis itself fails, the
     /// failure surfaces as a `DS001` error (sizing problems are exactly
-    /// what makes analysis fail) and plan-level rules are skipped.
+    /// what makes analysis fail) and plan-level rules are skipped. Each
+    /// edge type's structure generator is built once, the way a run
+    /// builds it, and shared by the rules that reason about structure.
     pub fn run(&self, schema: &Schema) -> LintReport {
         let mut diagnostics = Vec::new();
         let analysis = analyze(schema);
@@ -121,10 +126,17 @@ impl Linter {
                 (None, None)
             }
         };
+        let structures = StructureRegistry::builtin();
+        let generators: BTreeMap<_, _> = schema
+            .edges
+            .iter()
+            .map(|e| (e.name.as_str(), structure_generator_of(e, &structures)))
+            .collect();
         let ctx = LintContext {
             schema,
             analysis: analysis_ref,
             schedule: schedule.as_deref(),
+            generators: &generators,
         };
         for rule in &self.rules {
             rule.check(&ctx, &mut diagnostics);

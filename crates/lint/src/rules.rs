@@ -9,10 +9,14 @@
 
 use std::collections::BTreeMap;
 
-use datasynth_core::{Analysis, Artifact, CountSource, Task};
+use datasynth_core::{
+    structure_params_of, Analysis, Artifact, CountSource, PipelineError, Task, JPD_NAMES,
+};
 use datasynth_props::PropertyRegistry;
 use datasynth_schema::{Cardinality, EdgeType, GeneratorSpec, Schema, SpecArg};
-use datasynth_structure::StructureRegistry;
+use datasynth_structure::{
+    BarabasiAlbert, BoxedStructureGenerator, BuildError, DegreeDist, StructureGenerator,
+};
 use datasynth_tables::suggest::closest_match;
 use datasynth_tables::ValueType;
 
@@ -29,6 +33,19 @@ pub struct LintContext<'a> {
     pub analysis: Option<&'a Analysis>,
     /// Per-task last-use artifact slots, when analysis succeeded.
     pub schedule: Option<&'a [Vec<Artifact>]>,
+    /// Per edge type, what `datasynth_core::structure_generator_of` — the
+    /// function the run builds through — made of it.
+    pub(crate) generators: &'a BTreeMap<&'a str, Result<BoxedStructureGenerator, PipelineError>>,
+}
+
+impl LintContext<'_> {
+    /// The structure generator a run would build for edge type `edge`
+    /// (cardinality-driven default included); `None` when it does not
+    /// build, which `DS003` reports. Every structural fact a rule needs —
+    /// chunkability, capabilities, expected size — is asked of it.
+    pub fn generator(&self, edge: &str) -> Option<&dyn StructureGenerator> {
+        Some(self.generators.get(edge)?.as_deref().ok()?)
+    }
 }
 
 /// One static check over a schema/plan.
@@ -54,18 +71,6 @@ pub fn builtin_rules() -> Vec<Box<dyn LintRule>> {
     ]
 }
 
-/// Structure generators whose DSL aliases resolve to another registry
-/// name; lint reasons about the canonical name.
-fn canonical_structure(name: &str) -> &str {
-    match name {
-        "gnp" => "erdos_renyi",
-        "ba" => "barabasi_albert",
-        "ws" => "watts_strogatz",
-        "configuration_model" => "degree_sequence",
-        other => other,
-    }
-}
-
 /// First positional numeric argument at `idx`, if any.
 fn positional_num(spec: &GeneratorSpec, idx: usize) -> Option<f64> {
     match spec.args.get(idx)? {
@@ -74,13 +79,6 @@ fn positional_num(spec: &GeneratorSpec, idx: usize) -> Option<f64> {
         _ => None,
     }
 }
-
-/// Degree distributions understood by `one_to_many`, `degree_sequence`,
-/// `bter` and `darwini` (see `degree_dist_from` in the structure crate).
-const DEGREE_DISTS: &[&str] = &["constant", "uniform", "zipf", "power_law", "geometric"];
-
-/// Structure generators that take a `dist = "..."` degree distribution.
-const DEGREE_DIST_USERS: &[&str] = &["one_to_many", "degree_sequence", "bter", "darwini"];
 
 /// `DS001`: sizing that can never be satisfied — the run is guaranteed to
 /// fail (or silently violate the declared cardinality).
@@ -98,82 +96,74 @@ impl LintRule for UnsatisfiableCardinality {
             let Some(spec) = &edge.structure else {
                 continue;
             };
-            let name = canonical_structure(&spec.name);
+            let error = |span, message: String, help: &str| {
+                Diagnostic::new(
+                    "DS001",
+                    Severity::Error,
+                    span,
+                    format!("edge {}", edge.name),
+                    message,
+                )
+                .with_help(help)
+            };
+            let generator = ctx.generator(&edge.name);
+            let name = generator.map_or("", |g| g.name());
 
             // barabasi_albert attaches each new vertex to m existing ones:
             // impossible unless m < n.
-            if name == "barabasi_albert" {
-                let m = spec.named_num("m").unwrap_or(3.0);
-                if let Some(n) = source_count {
-                    if m >= n as f64 {
-                        out.push(
-                            Diagnostic::new(
-                                "DS001",
-                                Severity::Error,
-                                spec.span,
-                                format!("edge {}", edge.name),
-                                format!(
-                                    "barabasi_albert requires m < n, but m = {m} and \
-                                     {} has [count = {n}]",
-                                    edge.source
-                                ),
-                            )
-                            .with_help(format!("reduce m below {n} or raise the node count")),
-                        );
-                    }
+            if let ("barabasi_albert", Some(n)) = (name, source_count) {
+                let m = spec
+                    .named_num("m")
+                    .unwrap_or(BarabasiAlbert::DEFAULT_M as f64);
+                if m >= n as f64 {
+                    out.push(error(
+                        spec.span,
+                        format!(
+                            "barabasi_albert requires m < n, but m = {m} and {} has \
+                             [count = {n}]",
+                            edge.source
+                        ),
+                        &format!("reduce m below {n} or raise the node count"),
+                    ));
                 }
             }
 
-            // sbm generates exactly groups x group_size vertices; an
-            // explicit source count that disagrees cannot be honored.
-            if name == "sbm" {
-                let groups = spec.named_num("groups").unwrap_or(4.0).max(1.0);
-                let group_size = spec.named_num("group_size").unwrap_or(100.0).max(1.0);
-                let total = groups * group_size;
-                if let Some(n) = source_count {
-                    if total != n as f64 {
-                        out.push(
-                            Diagnostic::new(
-                                "DS001",
-                                Severity::Error,
-                                spec.span,
-                                format!("edge {}", edge.name),
-                                format!(
-                                    "sbm emits exactly groups x group_size = {total} vertices, \
-                                     but {} has [count = {n}]",
-                                    edge.source
-                                ),
-                            )
-                            .with_help("make groups x group_size equal the node count"),
-                        );
-                    }
+            // sbm generates exactly groups x group_size vertices, whatever
+            // edge count it is sized for; an explicit source count that
+            // disagrees cannot be honored.
+            if let ("sbm", Some(g), Some(n)) = (name, generator, source_count) {
+                let total = g.num_nodes_for_edges(0);
+                if total != n {
+                    out.push(error(
+                        spec.span,
+                        format!(
+                            "sbm emits exactly groups x group_size = {total} vertices, \
+                             but {} has [count = {n}]",
+                            edge.source
+                        ),
+                        "make groups x group_size equal the node count",
+                    ));
                 }
             }
 
             // A one-to-many edge whose guaranteed minimum fan-out already
             // overflows an explicitly counted target table.
             if edge.cardinality == Cardinality::OneToMany && name == "one_to_many" {
-                if let (Some(s), Some(t)) = (source_count, target_count) {
-                    let min_fanout = min_degree(spec);
-                    let floor = s.saturating_mul(min_fanout);
+                if let (Some(s), Some(t), Some(dist)) =
+                    (source_count, target_count, degree_dist_of(spec))
+                {
+                    let floor = s.saturating_mul(dist.min());
                     if floor > t {
-                        out.push(
-                            Diagnostic::new(
-                                "DS001",
-                                Severity::Error,
-                                spec.span,
-                                format!("edge {}", edge.name),
-                                format!(
-                                    "one_to_many fan-out from {s} {} rows is at least \
-                                     {floor}, exceeding {} [count = {t}]",
-                                    edge.source, edge.target
-                                ),
-                            )
-                            .with_help(
-                                "lower the minimum degree, the source count, or drop the \
-                                 explicit target count so the structure sizes it",
+                        out.push(error(
+                            spec.span,
+                            format!(
+                                "one_to_many fan-out from {s} {} rows is at least \
+                                 {floor}, exceeding {} [count = {t}]",
+                                edge.source, edge.target
                             ),
-                        );
+                            "lower the minimum degree, the source count, or drop the \
+                             explicit target count so the structure sizes it",
+                        ));
                     }
                 }
             }
@@ -183,20 +173,15 @@ impl LintRule for UnsatisfiableCardinality {
             if edge.cardinality == Cardinality::OneToOne {
                 if let (Some(s), Some(t)) = (source_count, target_count) {
                     if s != t {
-                        out.push(
-                            Diagnostic::new(
-                                "DS001",
-                                Severity::Error,
-                                edge.span,
-                                format!("edge {}", edge.name),
-                                format!(
-                                    "one_to_one edge between {} [count = {s}] and {} \
-                                     [count = {t}]: counts must match",
-                                    edge.source, edge.target
-                                ),
-                            )
-                            .with_help("equalize the counts or drop the target's"),
-                        );
+                        out.push(error(
+                            edge.span,
+                            format!(
+                                "one_to_one edge between {} [count = {s}] and {} \
+                                 [count = {t}]: counts must match",
+                                edge.source, edge.target
+                            ),
+                            "equalize the counts or drop the target's",
+                        ));
                     }
                 }
             }
@@ -204,17 +189,11 @@ impl LintRule for UnsatisfiableCardinality {
     }
 }
 
-/// The guaranteed minimum out-degree of a degree-distribution spec
-/// (defaults mirror `degree_dist_from` in the structure crate).
-fn min_degree(spec: &GeneratorSpec) -> u64 {
-    match spec.named_text("dist").unwrap_or("power_law") {
-        "constant" => spec.named_num("k").unwrap_or(1.0) as u64,
-        "uniform" => spec.named_num("min").unwrap_or(0.0) as u64,
-        "power_law" => (spec.named_num("min").unwrap_or(1.0) as u64).max(1),
-        "zipf" => 1,
-        // geometric can emit 0.
-        _ => 0,
-    }
+/// The degree distribution a `dist`-taking structure call declares, read
+/// by the parser the generators themselves use.
+fn degree_dist_of(spec: &GeneratorSpec) -> Option<DegreeDist> {
+    let params = structure_params_of(spec).ok()?;
+    DegreeDist::from_params(params.reader("one_to_many")).ok()
 }
 
 /// `DS002`: a distribution whose support does not match the value domain
@@ -308,7 +287,7 @@ impl LintRule for DistributionDomain {
 /// declaration, with a near-miss suggestion.
 pub struct UnknownGenerator;
 
-fn suggestion_help(suggestion: Option<String>, known: &[&str]) -> String {
+fn suggestion_help<S: std::borrow::Borrow<str>>(suggestion: Option<String>, known: &[S]) -> String {
     match suggestion {
         Some(s) => format!("did you mean {s:?}?"),
         None => format!("known generators: {}", known.join(", ")),
@@ -321,9 +300,6 @@ impl LintRule for UnknownGenerator {
     }
 
     fn check(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let structures = StructureRegistry::builtin();
-        let mut structure_names = structures.names();
-        structure_names.sort_unstable();
         let properties = PropertyRegistry::builtin();
         let mut property_names = properties.names();
         property_names.sort_unstable();
@@ -376,47 +352,47 @@ impl LintRule for UnknownGenerator {
                     unknown_property(&format!("{} temporal", edge.name), lifetime, out);
                 }
             }
-            if let Some(spec) = &edge.structure {
-                if !structures.contains(&spec.name) {
+            // A structure clause that does not build: the run's own
+            // `BuildError`, reported at the declaration.
+            if let (Some(spec), Some(Err(PipelineError::StructureBuild(e)))) =
+                (&edge.structure, ctx.generators.get(edge.name.as_str()))
+            {
+                let unknown = match e {
+                    BuildError::UnknownGenerator {
+                        known, suggestion, ..
+                    } => Some((
+                        format!("unknown structure generator {:?}", spec.name),
+                        suggestion_help(suggestion.clone(), known),
+                    )),
+                    BuildError::InvalidParam { param: "dist", .. } => {
+                        let dist = spec.named_text("dist").unwrap_or_default();
+                        Some((
+                            format!("unknown degree distribution {dist:?} for {}", spec.name),
+                            suggestion_help(
+                                closest_match(dist, DegreeDist::NAMES.iter().copied()),
+                                DegreeDist::NAMES,
+                            ),
+                        ))
+                    }
+                    // Other bad parameters fail the run with their own
+                    // message; lint has no code for them.
+                    _ => None,
+                };
+                if let Some((message, help)) = unknown {
                     out.push(
                         Diagnostic::new(
                             "DS003",
                             Severity::Error,
                             spec.span,
                             format!("edge {}", edge.name),
-                            format!("unknown structure generator {:?}", spec.name),
+                            message,
                         )
-                        .with_help(suggestion_help(
-                            closest_match(&spec.name, structure_names.iter().copied()),
-                            &structure_names,
-                        )),
+                        .with_help(help),
                     );
-                } else if DEGREE_DIST_USERS.contains(&canonical_structure(&spec.name)) {
-                    if let Some(dist) = spec.named_text("dist") {
-                        if !DEGREE_DISTS.contains(&dist) {
-                            out.push(
-                                Diagnostic::new(
-                                    "DS003",
-                                    Severity::Error,
-                                    spec.span,
-                                    format!("edge {}", edge.name),
-                                    format!(
-                                        "unknown degree distribution {dist:?} for {}",
-                                        spec.name
-                                    ),
-                                )
-                                .with_help(suggestion_help(
-                                    closest_match(dist, DEGREE_DISTS.iter().copied()),
-                                    DEGREE_DISTS,
-                                )),
-                            );
-                        }
-                    }
                 }
             }
             if let Some(corr) = &edge.correlation {
-                const JPDS: &[&str] = &["homophily", "uniform", "proportional"];
-                if !JPDS.contains(&corr.jpd.name.as_str()) {
+                if !JPD_NAMES.contains(&corr.jpd.name.as_str()) {
                     out.push(
                         Diagnostic::new(
                             "DS003",
@@ -426,8 +402,8 @@ impl LintRule for UnknownGenerator {
                             format!("unknown correlation target {:?}", corr.jpd.name),
                         )
                         .with_help(suggestion_help(
-                            closest_match(&corr.jpd.name, JPDS.iter().copied()),
-                            JPDS,
+                            closest_match(&corr.jpd.name, JPD_NAMES.iter().copied()),
+                            JPD_NAMES,
                         )),
                     );
                 }
@@ -478,20 +454,12 @@ impl LintRule for DeadTable {
     }
 }
 
-/// The structure generators that cannot generate an edge chunk in
-/// isolation (global preferential attachment / rewiring / community
-/// state). Sharded runs must recompute their full edge table on every
-/// shard, so cost scales with shards, not down.
-const SHARD_HOSTILE: &[&str] = &[
-    "barabasi_albert",
-    "bter",
-    "darwini",
-    "lfr",
-    "watts_strogatz",
-];
-
-/// `DS005`: a shard-hostile structure generator. Fine on a single
-/// machine; a scaling trap under `--shard`.
+/// `DS005`: a shard-hostile structure generator — one whose `chunkable()`
+/// is false: it cannot generate an edge chunk in isolation (global
+/// preferential attachment / rewiring / community state), so sharded runs
+/// recompute its full edge table on every shard and cost scales with
+/// shards, not down. Fine on a single machine; a scaling trap under
+/// `--shard`.
 pub struct ShardHostileStructure;
 
 impl LintRule for ShardHostileStructure {
@@ -501,11 +469,12 @@ impl LintRule for ShardHostileStructure {
 
     fn check(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         for edge in &ctx.schema.edges {
-            let Some(spec) = &edge.structure else {
+            let (Some(spec), Some(g)) = (&edge.structure, ctx.generator(&edge.name)) else {
                 continue;
             };
-            let canonical = canonical_structure(&spec.name);
-            if SHARD_HOSTILE.contains(&canonical) {
+            // Attachment generators are exempt: no chunkable alternative
+            // exists for a 1→1 / 1→* edge.
+            if !g.chunkable() && !g.capabilities().cardinality_constrained {
                 out.push(
                     Diagnostic::new(
                         "DS005",
@@ -513,8 +482,9 @@ impl LintRule for ShardHostileStructure {
                         spec.span,
                         format!("edge {}", edge.name),
                         format!(
-                            "{canonical} is not chunkable: sharded runs recompute the \
+                            "{} is not chunkable: sharded runs recompute the \
                              full {} edge table on every shard",
+                            g.name(),
                             edge.name
                         ),
                     )
@@ -592,7 +562,7 @@ impl LintRule for PeakMemoryEstimate {
         let (Some(analysis), Some(schedule)) = (ctx.analysis, ctx.schedule) else {
             return;
         };
-        let estimator = RowEstimator::new(ctx.schema, analysis);
+        let estimator = RowEstimator::new(ctx, analysis);
         let tasks = &analysis.plan.tasks;
 
         // live[i] = rows that become live at task i; drops via schedule.
@@ -647,21 +617,20 @@ impl LintRule for PeakMemoryEstimate {
 /// Rough per-table row estimates, memoized per node type. Estimates only
 /// feed the `DS007` note; ±2x accuracy is fine.
 struct RowEstimator<'a> {
-    schema: &'a Schema,
+    ctx: &'a LintContext<'a>,
     analysis: &'a Analysis,
     node_memo: BTreeMap<String, u64>,
 }
 
 impl<'a> RowEstimator<'a> {
-    fn new(schema: &'a Schema, analysis: &'a Analysis) -> Self {
+    fn new(ctx: &'a LintContext<'a>, analysis: &'a Analysis) -> Self {
         let mut est = Self {
-            schema,
+            ctx,
             analysis,
             node_memo: BTreeMap::new(),
         };
-        let names: Vec<String> = schema.nodes.iter().map(|n| n.name.clone()).collect();
-        for name in names {
-            est.resolve_node(&name, 0);
+        for node in &ctx.schema.nodes {
+            est.resolve_node(&node.name, 0);
         }
         est
     }
@@ -674,6 +643,7 @@ impl<'a> RowEstimator<'a> {
         if let Some(&n) = self.node_memo.get(name) {
             return n;
         }
+        let schema = self.ctx.schema;
         // Count sources are acyclic (analysis guarantees it), but cap
         // recursion anyway.
         let rows = if depth > 8 {
@@ -681,12 +651,13 @@ impl<'a> RowEstimator<'a> {
         } else {
             match self.analysis.count_sources.get(name) {
                 Some(CountSource::Explicit(n)) => *n,
-                Some(CountSource::FromStructure(e)) => self.resolve_edge(e, depth + 1),
-                Some(CountSource::FromEdgeCount(e)) => self
-                    .schema
-                    .edge_type(e)
-                    .and_then(|edge| edge.count)
-                    .unwrap_or(0),
+                Some(CountSource::FromStructure(e)) => schema.edge_type(e).map_or(0, |edge| {
+                    let n = self.resolve_node(&edge.source, depth + 2);
+                    self.rows_over(edge, n)
+                }),
+                Some(CountSource::FromEdgeCount(e)) => {
+                    schema.edge_type(e).and_then(|edge| edge.count).unwrap_or(0)
+                }
                 None => 0,
             }
         };
@@ -694,76 +665,16 @@ impl<'a> RowEstimator<'a> {
         rows
     }
 
-    fn resolve_edge(&mut self, name: &str, depth: usize) -> u64 {
-        let Some(edge) = self.schema.edge_type(name) else {
-            return 0;
-        };
-        if let Some(c) = edge.count {
-            return c;
-        }
-        let n = self.resolve_node(&edge.source.clone(), depth + 1);
-        estimate_edge_rows(edge, n)
-    }
-
     fn edge_rows(&self, name: &str) -> u64 {
-        let Some(edge) = self.schema.edge_type(name) else {
-            return 0;
-        };
-        if let Some(c) = edge.count {
-            return c;
-        }
-        estimate_edge_rows(edge, self.node_rows(&edge.source))
+        let edge = self.ctx.schema.edge_type(name);
+        edge.map_or(0, |edge| self.rows_over(edge, self.node_rows(&edge.source)))
     }
-}
 
-/// Expected edge count of `edge` over `n` source rows, from the
-/// generator's own parameters (registry defaults mirrored here).
-fn estimate_edge_rows(edge: &EdgeType, n: u64) -> u64 {
-    let Some(spec) = &edge.structure else {
-        // Cardinality-only edges degrade to an n-proportional guess.
-        return n.saturating_mul(4);
-    };
-    let nf = n as f64;
-    let rows = match canonical_structure(&spec.name) {
-        "erdos_renyi" => spec.named_num("p").unwrap_or(0.0) * nf * (nf - 1.0) / 2.0,
-        "gnm" => spec.named_num("m").unwrap_or(nf),
-        "barabasi_albert" => spec.named_num("m").unwrap_or(3.0) * nf,
-        "watts_strogatz" => spec.named_num("k").unwrap_or(4.0) * nf / 2.0,
-        "lfr" | "bter" | "darwini" => spec.named_num("avg_degree").unwrap_or(20.0) * nf / 2.0,
-        "rmat" => spec.named_num("edge_factor").unwrap_or(16.0) * nf,
-        "sbm" => {
-            let groups = spec.named_num("groups").unwrap_or(4.0).max(1.0);
-            let gs = spec.named_num("group_size").unwrap_or(100.0).max(1.0);
-            let total = groups * gs;
-            let intra = groups * gs * (gs - 1.0) / 2.0;
-            let inter = total * (total - 1.0) / 2.0 - intra;
-            intra * spec.named_num("p_intra").unwrap_or(0.1)
-                + inter * spec.named_num("p_inter").unwrap_or(0.01)
-        }
-        "one_to_one" => nf,
-        "one_to_many" | "degree_sequence" => mean_degree(spec) * nf,
-        _ => 10.0 * nf,
-    };
-    if rows.is_finite() && rows > 0.0 {
-        rows as u64
-    } else {
-        0
-    }
-}
-
-/// Expected mean of a degree-distribution spec (rough).
-fn mean_degree(spec: &GeneratorSpec) -> f64 {
-    match spec.named_text("dist").unwrap_or("power_law") {
-        "constant" => spec.named_num("k").unwrap_or(1.0),
-        "uniform" => {
-            (spec.named_num("min").unwrap_or(0.0) + spec.named_num("max").unwrap_or(4.0)) / 2.0
-        }
-        "geometric" => {
-            let p = spec.named_num("p").unwrap_or(0.4).clamp(0.01, 1.0);
-            (1.0 - p) / p
-        }
-        // Heavy-tailed families concentrate near their minimum.
-        _ => 2.0 * spec.named_num("min").unwrap_or(1.0).max(1.0),
+    /// Rows of `edge` over `n` source rows: its declared count, else what
+    /// the generator the run will build expects to make.
+    fn rows_over(&self, edge: &EdgeType, n: u64) -> u64 {
+        let expected = || self.ctx.generator(&edge.name).map(|g| g.expected_edges(n));
+        edge.count.or_else(expected).unwrap_or_default()
     }
 }
 

@@ -91,6 +91,104 @@ fn text_rendering_carries_source_line_and_caret() {
     );
 }
 
+/// Lint holds no table of structure generators: everything it says about
+/// one, it asks the generator the registry builds. Walks every registered
+/// name, so a generator added to the factory is covered with no edit here
+/// or anywhere under `crates/lint`.
+#[test]
+fn structure_rules_follow_the_registry() {
+    use datasynth_structure::{BuildError, DegreeDist, Params, StructureRegistry};
+
+    // A superset of every builtin's required parameters; generators
+    // ignore the names they do not read.
+    const ARGS: &str = "p = 0.01, m = 3";
+    let registry = StructureRegistry::builtin();
+    let params = Params::new().with_num("p", 0.01).with_long("m", 3);
+    let report_for = |call: String| {
+        let dsl = format!(
+            "graph g {{ node A [count = 400] {{ x: long = uniform(0, 9); }}
+               edge e: A -- A {{ structure = {call}; }} }}"
+        );
+        lint(&parse_schema(&dsl).unwrap_or_else(|e| panic!("{dsl}: {e}")))
+    };
+    let ds005 = |name: &str| {
+        report_for(format!("{name}({ARGS})"))
+            .diagnostics
+            .into_iter()
+            .find(|d| d.code == "DS005")
+    };
+
+    let mut sequential = std::collections::BTreeSet::new();
+    let mut dist_users = 0;
+    for name in registry.names() {
+        let g = registry.build(name, &params).expect(name);
+        let canonical = registry.canonical(name).expect(name);
+        assert_eq!(
+            g.name(),
+            canonical,
+            "{name} builds under its canonical name"
+        );
+        if !g.chunkable() {
+            sequential.insert(canonical);
+        }
+
+        // DS005 <=> neither chunkable nor an attachment generator.
+        let hostile = !g.chunkable() && !g.capabilities().cardinality_constrained;
+        let found = ds005(name);
+        assert_eq!(found.is_some(), hostile, "{name}: {found:?}");
+        if let Some(d) = found {
+            // Whatever the help recommends instead must be chunkable.
+            let help = d.help.expect("DS005 carries help");
+            let (_, listed) = help.split_once('(').expect("alternatives in parentheses");
+            for alternative in listed.trim_end_matches(')').split(", ") {
+                let g = registry.build(alternative, &params).expect(alternative);
+                assert!(
+                    g.chunkable(),
+                    "DS005 recommends non-chunkable {alternative}"
+                );
+            }
+        }
+
+        // An alias is linted exactly like the name it resolves to.
+        assert_eq!(
+            report_for(format!("{name}({ARGS})")).to_json(),
+            report_for(format!("{canonical}({ARGS})")).to_json(),
+            "{name} vs {canonical}"
+        );
+
+        // Wherever a `dist` is read, an unknown one is DS003 with a
+        // suggestion out of `DegreeDist::NAMES`.
+        let typo = params.clone().with_text("dist", "zipff");
+        if let Err(BuildError::InvalidParam { param: "dist", .. }) = registry.build(name, &typo) {
+            dist_users += 1;
+            let report = report_for(format!("{name}({ARGS}, dist = \"zipff\")"));
+            let d = report.diagnostics.iter().find(|d| d.code == "DS003");
+            let help = d.and_then(|d| d.help.as_deref()).expect("DS003 with help");
+            let suggested = help
+                .strip_prefix("did you mean \"")
+                .and_then(|h| h.strip_suffix("\"?"))
+                .expect(help);
+            assert!(DegreeDist::NAMES.contains(&suggested), "{name}: {help}");
+        }
+    }
+    assert!(
+        dist_users > 0,
+        "no generator reads `dist`: the check is vacuous"
+    );
+
+    // README keeps the one hand-written list of sequential generators.
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
+        .expect("README.md");
+    let row = readme
+        .lines()
+        .find(|l| l.starts_with("| every generator whose `chunkable()` is false"))
+        .expect("the sequential row of README's \"Parallel execution\" table");
+    let cell = row.split('|').nth(1).expect("first cell");
+    let listed: std::collections::BTreeSet<&str> =
+        cell.split('`').skip(1).step_by(2).skip(1).collect();
+    assert_eq!(listed, sequential, "README's sequential-generator list");
+}
+
 // ---- property-based: lint never panics on parser-accepted schemas ----
 
 fn ident() -> impl Strategy<Value = String> {

@@ -7,56 +7,11 @@
 //! count is exactly the inferred instance count of the target type — this
 //! is how DataSynth answers "how many Messages do I need?".
 
-use datasynth_prng::dist::{DiscretePowerLaw, Empirical, Geometric, Sampler, UniformU64, Zipf};
+use datasynth_prng::dist::Sampler;
 use datasynth_prng::SplitMix64;
 use datasynth_tables::EdgeTable;
 
-use crate::{Capabilities, StructureGenerator};
-
-/// Out-degree distribution for attachment generators.
-#[derive(Debug, Clone)]
-pub enum DegreeDist {
-    /// Every source gets exactly `k` targets.
-    Constant(u64),
-    /// Uniform in an inclusive range.
-    Uniform(UniformU64),
-    /// Zipf-distributed (rank 1 = heaviest creator).
-    Zipf(Zipf),
-    /// Truncated discrete power law.
-    PowerLaw(DiscretePowerLaw),
-    /// Geometric (many sources create little, few create a lot).
-    Geometric(Geometric),
-    /// Learned from observed out-degrees.
-    Empirical(Empirical),
-}
-
-impl DegreeDist {
-    fn draw(&self, rng: &mut SplitMix64) -> u64 {
-        match self {
-            DegreeDist::Constant(k) => *k,
-            DegreeDist::Uniform(d) => d.sample(rng),
-            DegreeDist::Zipf(d) => d.sample(rng),
-            DegreeDist::PowerLaw(d) => d.sample(rng),
-            DegreeDist::Geometric(d) => d.sample(rng),
-            DegreeDist::Empirical(d) => d.sample(rng),
-        }
-    }
-
-    fn mean(&self) -> f64 {
-        match self {
-            DegreeDist::Constant(k) => *k as f64,
-            DegreeDist::Uniform(d) => (d.lo() + d.hi()) as f64 / 2.0,
-            // Zipf mean has no closed form here; estimate from pmf head.
-            DegreeDist::Zipf(d) => {
-                let n = d.n().min(10_000);
-                (1..=n).map(|k| k as f64 * d.pmf(k)).sum()
-            }
-            DegreeDist::PowerLaw(d) => d.mean(),
-            DegreeDist::Geometric(_) => 1.5, // E for p = .4; callers size loosely
-            DegreeDist::Empirical(d) => d.mean(),
-        }
-    }
-}
+use crate::{Capabilities, DegreeDist, StructureGenerator};
 
 /// 1→* generator: each source node `i` gets `k_i ~ dist` outgoing edges to
 /// freshly numbered target instances.
@@ -81,13 +36,17 @@ impl StructureGenerator for OneToManyGenerator {
         let mut et = EdgeTable::with_capacity("one_to_many", n as usize);
         let mut next_target = 0u64;
         for src in 0..n {
-            let k = self.dist.draw(rng);
+            let k = self.dist.sample(rng);
             for _ in 0..k {
                 et.push(src, next_target);
                 next_target += 1;
             }
         }
         et
+    }
+
+    fn expected_edges(&self, n: u64) -> u64 {
+        (n as f64 * self.dist.mean()).round() as u64
     }
 
     fn num_nodes_for_edges(&self, num_edges: u64) -> u64 {
@@ -121,6 +80,7 @@ impl StructureGenerator for OneToOneGenerator {
         EdgeTable::from_pairs("one_to_one", (0..n).map(|i| (i, perm[i as usize])))
     }
 
+    // `expected_edges` is the trait's default, `n`: one edge per source.
     fn num_nodes_for_edges(&self, num_edges: u64) -> u64 {
         num_edges
     }
@@ -137,6 +97,7 @@ impl StructureGenerator for OneToOneGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datasynth_prng::dist::{DiscretePowerLaw, Geometric, UniformU64};
 
     #[test]
     fn one_to_many_targets_are_dense_and_unique() {

@@ -14,6 +14,9 @@ pub struct BarabasiAlbert {
 }
 
 impl BarabasiAlbert {
+    /// `m` when the DSL call does not give one.
+    pub const DEFAULT_M: u64 = 3;
+
     /// Create with `m >= 1` attachments per arriving node. `m = 0` is an
     /// error (not a panic): the value arrives straight from DSL/builder
     /// params through the registry.
@@ -66,6 +69,10 @@ impl StructureGenerator for BarabasiAlbert {
             }
         }
         et
+    }
+
+    fn expected_edges(&self, n: u64) -> u64 {
+        self.m.saturating_mul(n)
     }
 
     fn num_nodes_for_edges(&self, num_edges: u64) -> u64 {

@@ -46,6 +46,36 @@ impl CcProfile {
     }
 }
 
+/// One target degree per node, clamped to `>= 1` (BTER and Darwini wire
+/// every node; sizing uses `mean().max(1.0)` to match).
+pub(crate) fn clamped_degrees(dist: &DegreeDist, n: u64, rng: &mut SplitMix64) -> Vec<u32> {
+    (0..n)
+        .map(|_| dist.sample(rng).clamp(1, u64::from(u32::MAX)) as u32)
+        .collect()
+}
+
+/// Phase 1 of one affinity block: an ER graph of density `rho` over `block`,
+/// its expected within-block degree charged to every member's `excess`.
+pub(crate) fn fill_affinity_block(
+    block: &[u32],
+    rho: f64,
+    excess: &mut [f64],
+    et: &mut EdgeTable,
+    rng: &mut SplitMix64,
+) {
+    for (a, &u) in block.iter().enumerate() {
+        for &v in &block[a + 1..] {
+            if rng.next_bool(rho) {
+                et.push(u64::from(u.min(v)), u64::from(u.max(v)));
+            }
+        }
+    }
+    let within = rho * (block.len() as f64 - 1.0);
+    for &v in block {
+        excess[v as usize] = (excess[v as usize] - within).max(0.0);
+    }
+}
+
 /// BTER generator: degree distribution + clustering-per-degree profile.
 #[derive(Debug, Clone)]
 pub struct BterGenerator {
@@ -66,33 +96,7 @@ impl StructureGenerator for BterGenerator {
     }
 
     fn run(&self, n: u64, rng: &mut SplitMix64) -> EdgeTable {
-        // Sample the target degree of every node.
-        let degrees: Vec<u32> = (0..n)
-            .map(|_| {
-                let d = match &self.degree_dist {
-                    DegreeDist::Constant(k) => *k,
-                    other => {
-                        // Route through the shared draw.
-                        struct W<'a>(&'a DegreeDist);
-                        impl Sampler for W<'_> {
-                            type Output = u64;
-                            fn sample(&self, rng: &mut SplitMix64) -> u64 {
-                                match self.0 {
-                                    DegreeDist::Constant(k) => *k,
-                                    DegreeDist::Uniform(d) => d.sample(rng),
-                                    DegreeDist::Zipf(d) => d.sample(rng),
-                                    DegreeDist::PowerLaw(d) => d.sample(rng),
-                                    DegreeDist::Geometric(d) => d.sample(rng),
-                                    DegreeDist::Empirical(d) => d.sample(rng),
-                                }
-                            }
-                        }
-                        W(other).sample(rng)
-                    }
-                };
-                d.clamp(1, u64::from(u32::MAX)) as u32
-            })
-            .collect();
+        let degrees = clamped_degrees(&self.degree_dist, n, rng);
 
         // Sort node indices by degree ascending; blocks take consecutive
         // runs so every block's minimum degree is its first member's.
@@ -120,19 +124,7 @@ impl StructureGenerator for BterGenerator {
                 break; // tail too small to form a meaningful block
             }
             let rho = self.cc.at(d_min).powf(1.0 / 3.0);
-            let block = &by_degree[i..i + bsize];
-            for a in 0..bsize {
-                for b in (a + 1)..bsize {
-                    if rng.next_bool(rho) {
-                        let (u, v) = (u64::from(block[a]), u64::from(block[b]));
-                        et.push(u.min(v), u.max(v));
-                    }
-                }
-            }
-            let within = rho * (bsize as f64 - 1.0);
-            for &v in block {
-                excess[v as usize] = (excess[v as usize] - within).max(0.0);
-            }
+            fill_affinity_block(&by_degree[i..i + bsize], rho, &mut excess, &mut et, rng);
             i += bsize;
         }
 
@@ -147,15 +139,12 @@ impl StructureGenerator for BterGenerator {
         et
     }
 
+    fn expected_edges(&self, n: u64) -> u64 {
+        (n as f64 * self.degree_dist.mean().max(1.0) / 2.0).round() as u64
+    }
+
     fn num_nodes_for_edges(&self, num_edges: u64) -> u64 {
-        let mean = match &self.degree_dist {
-            DegreeDist::Constant(k) => *k as f64,
-            DegreeDist::PowerLaw(d) => d.mean(),
-            DegreeDist::Empirical(d) => d.mean(),
-            DegreeDist::Uniform(d) => (d.lo() + d.hi()) as f64 / 2.0,
-            _ => 4.0,
-        };
-        ((2.0 * num_edges as f64 / mean.max(1.0)).round() as u64).max(2)
+        ((2.0 * num_edges as f64 / self.degree_dist.mean().max(1.0)).round() as u64).max(2)
     }
 
     fn capabilities(&self) -> Capabilities {

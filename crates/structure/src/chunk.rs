@@ -20,6 +20,11 @@ use crate::StructureGenerator;
 /// enough that per-slot stream setup is amortized away.
 pub(crate) const SLOT_PAIRS: u64 = 1 << 14;
 
+/// Unordered pairs over `n` nodes; saturating, since lint sizes any `n`.
+pub(crate) fn total_pairs(n: u64) -> u64 {
+    n.saturating_mul(n.saturating_sub(1)) / 2
+}
+
 /// Number of [`SLOT_PAIRS`]-wide slots covering `total` pair indices.
 pub(crate) fn slots_for_pairs(total: u64) -> u64 {
     total.div_ceil(SLOT_PAIRS)

@@ -9,7 +9,7 @@ use datasynth_prng::dist::{Normal, Sampler};
 use datasynth_prng::SplitMix64;
 use datasynth_tables::EdgeTable;
 
-use crate::bter::CcProfile;
+use crate::bter::{clamped_degrees, fill_affinity_block, CcProfile};
 use crate::degree_seq::chung_lu;
 use crate::{BuildError, Capabilities, DegreeDist, StructureGenerator};
 
@@ -56,18 +56,6 @@ impl DarwiniGenerator {
             buckets,
         })
     }
-
-    fn draw_degree(&self, rng: &mut SplitMix64) -> u32 {
-        let d = match &self.degree_dist {
-            DegreeDist::Constant(k) => *k,
-            DegreeDist::Uniform(d) => d.sample(rng),
-            DegreeDist::Zipf(d) => d.sample(rng),
-            DegreeDist::PowerLaw(d) => d.sample(rng),
-            DegreeDist::Geometric(d) => d.sample(rng),
-            DegreeDist::Empirical(d) => d.sample(rng),
-        };
-        d.clamp(1, u64::from(u32::MAX)) as u32
-    }
 }
 
 impl StructureGenerator for DarwiniGenerator {
@@ -77,7 +65,7 @@ impl StructureGenerator for DarwiniGenerator {
 
     fn run(&self, n: u64, rng: &mut SplitMix64) -> EdgeTable {
         // Per-node degree and clustering demand.
-        let degrees: Vec<u32> = (0..n).map(|_| self.draw_degree(rng)).collect();
+        let degrees = clamped_degrees(&self.degree_dist, n, rng);
         let cc_targets: Vec<f64> = degrees
             .iter()
             .map(|&d| {
@@ -121,19 +109,7 @@ impl StructureGenerator for DarwiniGenerator {
             }
             if bsize >= 3 {
                 let rho = cc_targets[v0].powf(1.0 / 3.0);
-                let block = &order[i..i + bsize];
-                for a in 0..bsize {
-                    for b in (a + 1)..bsize {
-                        if rng.next_bool(rho) {
-                            let (u, v) = (u64::from(block[a]), u64::from(block[b]));
-                            et.push(u.min(v), u.max(v));
-                        }
-                    }
-                }
-                let within = rho * (bsize as f64 - 1.0);
-                for &v in block {
-                    excess[v as usize] = (excess[v as usize] - within).max(0.0);
-                }
+                fill_affinity_block(&order[i..i + bsize], rho, &mut excess, &mut et, rng);
             }
             i += bsize;
         }
@@ -147,14 +123,12 @@ impl StructureGenerator for DarwiniGenerator {
         et
     }
 
+    fn expected_edges(&self, n: u64) -> u64 {
+        (n as f64 * self.degree_dist.mean().max(1.0) / 2.0).round() as u64
+    }
+
     fn num_nodes_for_edges(&self, num_edges: u64) -> u64 {
-        let mean = match &self.degree_dist {
-            DegreeDist::Constant(k) => *k as f64,
-            DegreeDist::PowerLaw(d) => d.mean(),
-            DegreeDist::Empirical(d) => d.mean(),
-            _ => 4.0,
-        };
-        ((2.0 * num_edges as f64 / mean.max(1.0)).round() as u64).max(2)
+        ((2.0 * num_edges as f64 / self.degree_dist.mean().max(1.0)).round() as u64).max(2)
     }
 
     fn capabilities(&self) -> Capabilities {

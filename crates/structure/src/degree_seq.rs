@@ -1,9 +1,13 @@
-//! Degree-sequence machinery shared by LFR and BTER: parity fixing, the
-//! configuration model, and Chung–Lu weighted edge sampling.
+//! Degree sequences: the wiring machinery shared by LFR, BTER and Darwini
+//! (parity fixing, the configuration model, Chung–Lu weighted sampling)
+//! and the generator built directly on it — the paper's example of an SG
+//! initialized with *"a file with an empirical degree distribution"*.
 
-use datasynth_prng::dist::AliasTable;
+use datasynth_prng::dist::{AliasTable, Sampler};
 use datasynth_prng::SplitMix64;
 use datasynth_tables::EdgeTable;
+
+use crate::{Capabilities, DegreeDist, StructureGenerator};
 
 /// Make the degree sum even by bumping the first node (a configuration
 /// model needs an even number of stubs). Returns whether a bump happened.
@@ -112,7 +116,6 @@ pub fn chung_lu(weights: &[f64], m: u64, rng: &mut SplitMix64) -> EdgeTable {
     let max_attempts = m.saturating_mul(20).max(1000);
     while (et.len()) < m && attempts < max_attempts {
         attempts += 1;
-        use datasynth_prng::dist::Sampler;
         let a = alias.sample(rng) as u64;
         let b = alias.sample(rng) as u64;
         if a == b {
@@ -126,9 +129,71 @@ pub fn chung_lu(weights: &[f64], m: u64, rng: &mut SplitMix64) -> EdgeTable {
     et
 }
 
+/// Configuration-model generator over an arbitrary degree distribution
+/// (constant, uniform, zipf, power-law, geometric, or empirical).
+#[derive(Debug, Clone)]
+pub struct DegreeSequenceGenerator {
+    dist: DegreeDist,
+    options: ConfigModelOptions,
+}
+
+impl DegreeSequenceGenerator {
+    /// Create with simple-graph wiring (no self-loops, no multi-edges).
+    pub fn new(dist: DegreeDist) -> Self {
+        Self {
+            dist,
+            options: ConfigModelOptions::default(),
+        }
+    }
+
+    /// Override the wiring options.
+    pub fn with_options(mut self, options: ConfigModelOptions) -> Self {
+        self.options = options;
+        self
+    }
+}
+
+impl StructureGenerator for DegreeSequenceGenerator {
+    fn name(&self) -> &'static str {
+        "degree_sequence"
+    }
+
+    fn run(&self, n: u64, rng: &mut SplitMix64) -> EdgeTable {
+        // A node cannot have more simple-graph neighbors than n-1.
+        let cap = n.saturating_sub(1).min(u64::from(u32::MAX));
+        let mut degrees: Vec<u32> = (0..n)
+            .map(|_| self.dist.sample(rng).min(cap) as u32)
+            .collect();
+        if degrees.is_empty() {
+            return EdgeTable::new("degree_sequence");
+        }
+        even_out_degree_sum(&mut degrees);
+        configuration_model(&degrees, self.options, rng)
+    }
+
+    fn expected_edges(&self, n: u64) -> u64 {
+        (n as f64 * self.dist.mean() / 2.0).round() as u64
+    }
+
+    fn num_nodes_for_edges(&self, num_edges: u64) -> u64 {
+        let mean = self.dist.mean().max(f64::MIN_POSITIVE);
+        ((2.0 * num_edges as f64 / mean).round() as u64).max(2)
+    }
+
+    fn capabilities(&self) -> Capabilities {
+        Capabilities {
+            degree_distribution: true,
+            scalable: true,
+            ..Default::default()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datasynth_analysis::DegreeStats;
+    use datasynth_prng::dist::Empirical;
 
     #[test]
     fn parity_fix() {
@@ -209,5 +274,49 @@ mod tests {
         let a = configuration_model(&d, ConfigModelOptions::default(), &mut SplitMix64::new(9));
         let b = configuration_model(&d, ConfigModelOptions::default(), &mut SplitMix64::new(9));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn empirical_distribution_is_reproduced() {
+        // An "empirical" degree histogram: mostly 2s, a few 10s.
+        let dist = DegreeDist::Empirical(Empirical::from_histogram(&[(2, 9.0), (10, 1.0)]));
+        let g = DegreeSequenceGenerator::new(dist);
+        let n = 4000;
+        let et = g.run(n, &mut SplitMix64::new(1));
+        let stats = DegreeStats::from_degrees(&et.degrees(n)).unwrap();
+        let target = 0.9 * 2.0 + 0.1 * 10.0; // 2.8
+        assert!(
+            (stats.mean - target).abs() < 0.3,
+            "mean {} vs {target}",
+            stats.mean
+        );
+        // Degree-10 nodes exist.
+        assert!(et.degrees(n).iter().any(|&d| d >= 9));
+    }
+
+    #[test]
+    fn output_is_simple() {
+        let g = DegreeSequenceGenerator::new(DegreeDist::Constant(4));
+        let et = g.run(500, &mut SplitMix64::new(2));
+        for (t, h) in et.iter() {
+            assert_ne!(t, h);
+        }
+        let mut c = et.clone();
+        c.canonicalize_undirected();
+        assert_eq!(c.dedup(), 0);
+    }
+
+    #[test]
+    fn degrees_capped_by_population() {
+        let g = DegreeSequenceGenerator::new(DegreeDist::Constant(100));
+        let n = 10;
+        let et = g.run(n, &mut SplitMix64::new(3));
+        assert!(et.degrees(n).iter().all(|&d| d <= 9));
+    }
+
+    #[test]
+    fn sizing_inverse() {
+        let g = DegreeSequenceGenerator::new(DegreeDist::Constant(8));
+        assert_eq!(g.num_nodes_for_edges(4000), 1000);
     }
 }

@@ -6,7 +6,7 @@ use std::ops::Range;
 use datasynth_prng::{CounterStream, SplitMix64};
 use datasynth_tables::EdgeTable;
 
-use crate::chunk::{self, pair_from_index, sample_indices_in, SLOT_PAIRS};
+use crate::chunk::{self, pair_from_index, sample_indices_in, total_pairs, SLOT_PAIRS};
 use crate::{Capabilities, StructureGenerator};
 
 /// `G(n, p)`: every unordered pair is an edge independently with
@@ -24,14 +24,6 @@ impl Gnp {
     pub fn new(p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "p out of range: {p}");
         Self { p }
-    }
-
-    fn total_pairs(n: u64) -> u64 {
-        if n < 2 {
-            0
-        } else {
-            n * (n - 1) / 2
-        }
     }
 }
 
@@ -52,11 +44,11 @@ impl StructureGenerator for Gnp {
         if self.p <= 0.0 {
             return 0;
         }
-        chunk::slots_for_pairs(Self::total_pairs(n))
+        chunk::slots_for_pairs(total_pairs(n))
     }
 
     fn run_range(&self, n: u64, range: Range<u64>, stream: &CounterStream) -> EdgeTable {
-        let total = Self::total_pairs(n);
+        let total = total_pairs(n);
         let mut et = EdgeTable::new("erdos_renyi");
         for slot in range {
             let lo = slot * SLOT_PAIRS;
@@ -68,6 +60,10 @@ impl StructureGenerator for Gnp {
             });
         }
         et
+    }
+
+    fn expected_edges(&self, n: u64) -> u64 {
+        (self.p * total_pairs(n) as f64).round() as u64
     }
 
     fn num_nodes_for_edges(&self, num_edges: u64) -> u64 {
@@ -106,21 +102,21 @@ impl StructureGenerator for Gnm {
     }
 
     fn run(&self, n: u64, rng: &mut SplitMix64) -> EdgeTable {
-        let mut et = EdgeTable::with_capacity("gnm", self.m as usize);
-        if n < 2 {
-            return et;
-        }
-        let total_pairs = n * (n - 1) / 2;
-        let m = self.m.min(total_pairs);
+        let m = self.expected_edges(n);
+        let mut et = EdgeTable::with_capacity("gnm", m as usize);
         let mut chosen = std::collections::HashSet::with_capacity(m as usize);
         while (chosen.len() as u64) < m {
-            let idx = rng.next_below(total_pairs);
+            let idx = rng.next_below(total_pairs(n));
             if chosen.insert(idx) {
                 let (t, h) = pair_from_index(idx);
                 et.push(t, h);
             }
         }
         et
+    }
+
+    fn expected_edges(&self, n: u64) -> u64 {
+        self.m.min(total_pairs(n))
     }
 
     fn num_nodes_for_edges(&self, num_edges: u64) -> u64 {

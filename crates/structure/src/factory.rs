@@ -4,10 +4,7 @@
 
 use std::sync::OnceLock;
 
-use datasynth_prng::dist::{DiscretePowerLaw, Geometric, UniformU64, Zipf};
-
 use crate::bter::CcProfile;
-use crate::params::ParamReader;
 use crate::registry::{BoxedStructureGenerator, BuildError, StructureRegistry};
 use crate::{
     BarabasiAlbert, BterGenerator, DarwiniGenerator, DegreeDist, Gnm, Gnp, LfrGenerator, LfrParams,
@@ -31,42 +28,6 @@ pub const GENERATOR_NAMES: &[&str] = &[
     "one_to_many",
     "one_to_one",
 ];
-
-fn degree_dist_from(r: ParamReader<'_>) -> Result<DegreeDist, BuildError> {
-    Ok(match r.str_or("dist", "power_law") {
-        "constant" => DegreeDist::Constant(r.u64_or("k", 1)),
-        "uniform" => {
-            let lo = r.u64_or("min", 0);
-            let hi = r.u64_or("max", 4);
-            if lo > hi {
-                return Err(r.bad("min", "min exceeds max"));
-            }
-            DegreeDist::Uniform(UniformU64::new(lo, hi))
-        }
-        "zipf" => DegreeDist::Zipf(Zipf::new(
-            r.f64_or("exponent", 1.5),
-            r.u64_or("max", 1000).max(1),
-        )),
-        "power_law" => {
-            let kmin = r.u64_or("min", 1).max(1);
-            let kmax = r.u64_or("max", 100);
-            if kmin > kmax {
-                return Err(r.bad("min", "min exceeds max"));
-            }
-            DegreeDist::PowerLaw(DiscretePowerLaw::new(r.f64_or("exponent", 2.0), kmin, kmax))
-        }
-        "geometric" => {
-            let p = r.f64_or("p", 0.4);
-            if !(p > 0.0 && p <= 1.0) {
-                return Err(r.bad("p", "must be in (0, 1]"));
-            }
-            DegreeDist::Geometric(Geometric::new(p))
-        }
-        other => {
-            return Err(r.bad("dist", format!("unknown distribution {other}")));
-        }
-    })
-}
 
 fn rmat(params: &Params) -> Result<BoxedStructureGenerator, BuildError> {
     let r = params.reader("rmat");
@@ -101,12 +62,19 @@ fn lfr(params: &Params) -> Result<BoxedStructureGenerator, BuildError> {
         max_community: r.u64_or("max_community", 50),
         mixing: r.f64_in("mixing", 0.1, 0.0, 1.0)?,
     };
+    // `LfrGenerator::new` asserts these; DSL input must fail as an error.
+    if p.min_community < 2 || p.min_community > p.max_community {
+        return Err(r.bad("min_community", "need 2 <= min_community <= max_community"));
+    }
+    if !(p.average_degree > 1.0 && p.average_degree < p.max_degree as f64) {
+        return Err(r.bad("avg_degree", "need 1 < avg_degree < max_degree"));
+    }
     Ok(Box::new(LfrGenerator::new(p)))
 }
 
 fn bter(params: &Params) -> Result<BoxedStructureGenerator, BuildError> {
     let r = params.reader("bter");
-    let dd = degree_dist_from(r)?;
+    let dd = DegreeDist::from_params(r)?;
     let cc = if let Some(c) = r.get_f64("cc") {
         CcProfile::Constant(c)
     } else {
@@ -120,7 +88,7 @@ fn bter(params: &Params) -> Result<BoxedStructureGenerator, BuildError> {
 
 fn darwini(params: &Params) -> Result<BoxedStructureGenerator, BuildError> {
     let r = params.reader("darwini");
-    let dd = degree_dist_from(r)?;
+    let dd = DegreeDist::from_params(r)?;
     let cc = CcProfile::ExponentialDecay {
         c0: r.f64_or("cc_max", 0.6),
         scale: r.f64_or("cc_scale", 15.0),
@@ -147,7 +115,9 @@ fn gnm(params: &Params) -> Result<BoxedStructureGenerator, BuildError> {
 
 fn barabasi_albert(params: &Params) -> Result<BoxedStructureGenerator, BuildError> {
     let r = params.reader("barabasi_albert");
-    Ok(Box::new(BarabasiAlbert::new(r.u64_or("m", 3))?))
+    Ok(Box::new(BarabasiAlbert::new(
+        r.u64_or("m", BarabasiAlbert::DEFAULT_M),
+    )?))
 }
 
 fn watts_strogatz(params: &Params) -> Result<BoxedStructureGenerator, BuildError> {
@@ -174,12 +144,12 @@ fn sbm(params: &Params) -> Result<BoxedStructureGenerator, BuildError> {
 
 fn degree_sequence(params: &Params) -> Result<BoxedStructureGenerator, BuildError> {
     Ok(Box::new(crate::DegreeSequenceGenerator::new(
-        degree_dist_from(params.reader("degree_sequence"))?,
+        DegreeDist::from_params(params.reader("degree_sequence"))?,
     )))
 }
 
 fn one_to_many(params: &Params) -> Result<BoxedStructureGenerator, BuildError> {
-    Ok(Box::new(OneToManyGenerator::new(degree_dist_from(
+    Ok(Box::new(OneToManyGenerator::new(DegreeDist::from_params(
         params.reader("one_to_many"),
     )?)))
 }
@@ -208,16 +178,14 @@ pub(crate) fn register_builtins(registry: &mut StructureRegistry) {
     registry.alias("configuration_model", "degree_sequence");
 }
 
-fn builtin() -> &'static StructureRegistry {
-    static BUILTIN: OnceLock<StructureRegistry> = OnceLock::new();
-    BUILTIN.get_or_init(StructureRegistry::builtin)
-}
-
 /// Construct a structure generator from the *builtin* registry; kept as a
 /// convenience for code that needs no user extensions. The pipeline
 /// resolves through the [`StructureRegistry`] carried by `DataSynth`.
 pub fn build_generator(name: &str, params: &Params) -> Result<BoxedStructureGenerator, BuildError> {
-    builtin().build(name, params)
+    static BUILTIN: OnceLock<StructureRegistry> = OnceLock::new();
+    BUILTIN
+        .get_or_init(StructureRegistry::builtin)
+        .build(name, params)
 }
 
 #[cfg(test)]

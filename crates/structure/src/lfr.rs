@@ -202,8 +202,12 @@ impl StructureGenerator for LfrGenerator {
         self.run_with_partition(n, rng).0
     }
 
+    // m ≈ n · avg_degree / 2.
+    fn expected_edges(&self, n: u64) -> u64 {
+        (n as f64 * self.params.average_degree / 2.0).round() as u64
+    }
+
     fn num_nodes_for_edges(&self, num_edges: u64) -> u64 {
-        // m ≈ n · avg_degree / 2.
         ((2.0 * num_edges as f64 / self.params.average_degree).round() as u64).max(2)
     }
 

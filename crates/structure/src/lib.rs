@@ -16,8 +16,8 @@ mod bter;
 mod capabilities;
 mod chunk;
 mod darwini;
+mod degree_dist;
 mod degree_seq;
-mod degree_sequence;
 mod erdos_renyi;
 mod factory;
 mod lfr;
@@ -27,14 +27,16 @@ mod rmat;
 mod sbm;
 mod watts_strogatz;
 
-pub use attachment::{DegreeDist, OneToManyGenerator, OneToOneGenerator};
+pub use attachment::{OneToManyGenerator, OneToOneGenerator};
 pub use barabasi_albert::BarabasiAlbert;
 pub use bter::{BterGenerator, CcProfile};
 pub use capabilities::Capabilities;
 pub use chunk::{run_chunked, shard_window};
 pub use darwini::DarwiniGenerator;
-pub use degree_seq::{chung_lu, configuration_model, even_out_degree_sum, ConfigModelOptions};
-pub use degree_sequence::DegreeSequenceGenerator;
+pub use degree_dist::DegreeDist;
+pub use degree_seq::{
+    chung_lu, configuration_model, even_out_degree_sum, ConfigModelOptions, DegreeSequenceGenerator,
+};
 pub use erdos_renyi::{Gnm, Gnp};
 pub use factory::{build_generator, GENERATOR_NAMES};
 pub use lfr::{LfrGenerator, LfrParams};
@@ -58,6 +60,13 @@ pub trait StructureGenerator {
     /// from `rng` (the paper's SGs carry internal state; we take the stream
     /// explicitly so generation stays deterministic and replayable).
     fn run(&self, n: u64, rng: &mut SplitMix64) -> EdgeTable;
+
+    /// Expected number of edges [`Self::run`] produces over `n` nodes: the
+    /// formula [`Self::num_nodes_for_edges`] inverts, so state the two
+    /// together. Defaults to `n`.
+    fn expected_edges(&self, n: u64) -> u64 {
+        n
+    }
 
     /// Number of nodes to pass to [`Self::run`] so the resulting edge table
     /// has approximately `num_edges` edges (the paper's `getNumNodes`).

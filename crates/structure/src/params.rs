@@ -121,32 +121,16 @@ pub struct ParamReader<'a> {
     params: &'a Params,
 }
 
-impl<'a> ParamReader<'a> {
-    /// The underlying parameter bag.
-    pub fn params(&self) -> &'a Params {
+/// Plain lookups (`get_f64`, `u64_or`, `get_str`, …) are the bag's own.
+impl std::ops::Deref for ParamReader<'_> {
+    type Target = Params;
+
+    fn deref(&self) -> &Params {
         self.params
     }
+}
 
-    /// Numeric lookup.
-    pub fn get_f64(&self, key: &str) -> Option<f64> {
-        self.params.get_f64(key)
-    }
-
-    /// Numeric lookup with default.
-    pub fn f64_or(&self, key: &str, default: f64) -> f64 {
-        self.params.f64_or(key, default)
-    }
-
-    /// Integer lookup with default.
-    pub fn u64_or(&self, key: &str, default: u64) -> u64 {
-        self.params.u64_or(key, default)
-    }
-
-    /// String lookup.
-    pub fn get_str(&self, key: &str) -> Option<&'a str> {
-        self.params.get_str(key)
-    }
-
+impl<'a> ParamReader<'a> {
     /// String lookup with default.
     pub fn str_or(&self, key: &str, default: &'a str) -> &'a str {
         self.params.get_str(key).unwrap_or(default)
@@ -176,17 +160,15 @@ impl<'a> ParamReader<'a> {
         lo: f64,
         hi: f64,
     ) -> Result<f64, BuildError> {
-        let v = self.f64_or(key, default);
-        if (lo..=hi).contains(&v) {
-            Ok(v)
-        } else {
-            Err(self.bad(key, format!("must be in [{lo}, {hi}]")))
-        }
+        self.in_range(key, self.f64_or(key, default), lo, hi)
     }
 
     /// Required numeric lookup, rejected outside `[lo, hi]`.
     pub fn require_f64_in(&self, key: &'static str, lo: f64, hi: f64) -> Result<f64, BuildError> {
-        let v = self.require_f64(key)?;
+        self.in_range(key, self.require_f64(key)?, lo, hi)
+    }
+
+    fn in_range(&self, key: &'static str, v: f64, lo: f64, hi: f64) -> Result<f64, BuildError> {
         if (lo..=hi).contains(&v) {
             Ok(v)
         } else {

@@ -128,10 +128,7 @@ pub struct StructureRegistry {
 impl StructureRegistry {
     /// A registry with no entries (useful to expose a restricted menu).
     pub fn empty() -> Self {
-        Self {
-            ctors: BTreeMap::new(),
-            aliases: BTreeMap::new(),
-        }
+        Self::default()
     }
 
     /// The shipped generator library (RMAT, LFR, BTER, … and their DSL
@@ -163,11 +160,7 @@ impl StructureRegistry {
     }
 
     fn resolve(&self, name: &str) -> Option<&Ctor> {
-        self.ctors.get(name).or_else(|| {
-            self.aliases
-                .get(name)
-                .and_then(|target| self.ctors.get(target))
-        })
+        self.ctors.get(self.canonical(name)?)
     }
 
     /// Construct a generator from its registry name and parameters.
@@ -180,6 +173,16 @@ impl StructureRegistry {
             Some(ctor) => ctor(params),
             None => Err(self.unknown(name)),
         }
+    }
+
+    /// The registered name `name` builds as — itself, or its alias target —
+    /// or `None` when it does not resolve.
+    pub fn canonical<'a>(&'a self, name: &'a str) -> Option<&'a str> {
+        if self.ctors.contains_key(name) {
+            return Some(name);
+        }
+        // `alias` only ever records targets that are registered.
+        self.aliases.get(name).map(String::as_str)
     }
 
     /// Whether `name` resolves (directly or through an alias).

@@ -157,6 +157,10 @@ impl StructureGenerator for RmatGenerator {
         et
     }
 
+    fn expected_edges(&self, n: u64) -> u64 {
+        self.edge_factor.saturating_mul(n)
+    }
+
     fn num_nodes_for_edges(&self, num_edges: u64) -> u64 {
         (num_edges / self.edge_factor).max(1)
     }

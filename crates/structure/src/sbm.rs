@@ -9,7 +9,7 @@ use std::ops::Range;
 use datasynth_prng::{CounterStream, SplitMix64};
 use datasynth_tables::EdgeTable;
 
-use crate::chunk::{self, pair_from_index, sample_indices_in, SLOT_PAIRS};
+use crate::chunk::{self, pair_from_index, sample_indices_in, total_pairs, SLOT_PAIRS};
 use crate::{Capabilities, PlantedPartition, StructureGenerator};
 
 /// SBM with explicit group sizes and a full inter-group edge-probability
@@ -94,14 +94,9 @@ impl PlantedSbm {
         for i in 0..k {
             for j in i..k {
                 let pairs = if i == j {
-                    let s = self.sizes[i];
-                    if s < 2 {
-                        0
-                    } else {
-                        s * (s - 1) / 2
-                    }
+                    total_pairs(self.sizes[i])
                 } else {
-                    self.sizes[i] * self.sizes[j]
+                    self.sizes[i].saturating_mul(self.sizes[j])
                 };
                 blocks.push(SbmBlock {
                     off_i: offsets[i],
@@ -118,19 +113,10 @@ impl PlantedSbm {
 
     /// Expected edge count.
     pub fn expected_edges(&self) -> f64 {
-        let k = self.sizes.len();
-        let mut total = 0.0;
-        for i in 0..k {
-            for j in i..k {
-                let pairs = if i == j {
-                    (self.sizes[i] * self.sizes[i].saturating_sub(1)) as f64 / 2.0
-                } else {
-                    (self.sizes[i] * self.sizes[j]) as f64
-                };
-                total += pairs * self.density[i][j];
-            }
-        }
-        total
+        self.blocks()
+            .iter()
+            .map(|b| b.pairs as f64 * b.density)
+            .sum()
     }
 }
 
@@ -203,6 +189,11 @@ impl StructureGenerator for PlantedSbm {
             }
         }
         et
+    }
+
+    /// Like the node count, fixed by the planted sizes.
+    fn expected_edges(&self, _n: u64) -> u64 {
+        PlantedSbm::expected_edges(self).round() as u64
     }
 
     fn num_nodes_for_edges(&self, _num_edges: u64) -> u64 {

@@ -61,6 +61,10 @@ impl StructureGenerator for WattsStrogatz {
         et
     }
 
+    fn expected_edges(&self, n: u64) -> u64 {
+        self.k.saturating_mul(n) / 2
+    }
+
     fn num_nodes_for_edges(&self, num_edges: u64) -> u64 {
         (2 * num_edges / self.k).max(self.k + 1)
     }

@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use datasynth_prng::{CounterStream, SplitMix64};
 use datasynth_structure::{
     build_generator, configuration_model, even_out_degree_sum, BarabasiAlbert, ConfigModelOptions,
-    LfrGenerator, LfrParams, Params, PlantedPartition, RmatGenerator, StructureGenerator,
-    WattsStrogatz,
+    DegreeDist, LfrGenerator, LfrParams, Params, PlantedPartition, RmatGenerator,
+    StructureGenerator, WattsStrogatz,
 };
 use datasynth_tables::EdgeTable;
 
@@ -135,15 +135,59 @@ proptest! {
     }
 
     /// `num_nodes_for_edges` inverts `run` to within 30% for every
-    /// registered generator with defaults.
+    /// registered generator that sizes from an edge count — with defaults,
+    /// and for every `DegreeDist` under each of its four users — and
+    /// `expected_edges` predicts `run` to within 30% for all twelve.
     #[test]
     fn sizing_roundtrip(seed: u64, target_m in 2_000u64..20_000) {
-        for name in ["rmat", "lfr", "barabasi_albert", "watts_strogatz"] {
-            let g = build_generator(name, &Params::new()).unwrap();
+        let mut cases: Vec<(&str, Params)> = ["rmat", "lfr", "barabasi_albert", "watts_strogatz"]
+            .map(|name| (name, Params::new()))
+            .into();
+        for &dist in DegreeDist::NAMES {
+            let params = Params::new().with_text("dist", dist);
+            let params = match dist {
+                "constant" => params.with_num("k", 8.0),
+                "uniform" => params.with_num("min", 10.0).with_num("max", 30.0),
+                "zipf" => params.with_num("max", 50.0),
+                "power_law" => params.with_num("min", 2.0).with_num("max", 40.0),
+                _ => params,
+            };
+            // Attachment and the configuration model keep degree-0 draws;
+            // BTER and Darwini clamp to >= 1, so they get the geometric
+            // with little mass at 0.
+            let (free, clamped) = if dist == "geometric" {
+                let with_p = |p: f64| params.clone().with_num("p", p);
+                (vec![with_p(0.1), with_p(0.4), with_p(0.8)], with_p(0.05))
+            } else {
+                (vec![params.clone()], params)
+            };
+            for name in ["one_to_many", "degree_sequence"] {
+                cases.extend(free.iter().map(|params| (name, params.clone())));
+            }
+            for name in ["bter", "darwini"] {
+                cases.push((name, clamped.clone()));
+            }
+        }
+        let sized = cases.len();
+        cases.extend([
+            ("erdos_renyi", Params::new().with_num("p", 0.01)),
+            ("gnm", Params::new().with_num("m", 5_000.0)),
+            ("sbm", Params::new()),
+            ("one_to_one", Params::new()),
+        ]);
+        for (i, (name, params)) in cases.iter().enumerate() {
+            let g = build_generator(name, params).unwrap();
             let n = g.num_nodes_for_edges(target_m);
             let m = g.run(n, &mut SplitMix64::new(seed)).len() as f64;
-            let rel = (m - target_m as f64).abs() / target_m as f64;
-            prop_assert!(rel < 0.3, "{name}: asked {target_m}, got {m}");
+            if i < sized {
+                let rel = (m - target_m as f64).abs() / target_m as f64;
+                prop_assert!(rel < 0.3, "{name}({params}): asked {target_m}, got {m}");
+            }
+            let expected = g.expected_edges(n) as f64;
+            prop_assert!(
+                (expected - m).abs() / m < 0.3,
+                "{name}({params}): expected_edges({n}) = {expected}, run made {m}"
+            );
         }
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! Several components speak small amounts of JSON without wanting a
 //! dependency: the sink manifest (`manifest.json` save/load), the run
-//! report, the criterion shim's `--persist` files, and the HTTP service's
-//! request/response bodies. They all share this module instead of each
-//! hand-rolling an escaper and a parser.
+//! report, and the HTTP service's request/response bodies. They all share
+//! this module instead of each hand-rolling an escaper and a parser.
 //!
 //! Scope is deliberately narrow: a [`Json`] value tree (null, bool,
 //! unsigned integer, float, string, array, object), a recursive-descent

@@ -38,6 +38,11 @@ impl StructureGenerator for RingLattice {
         et
     }
 
+    // The sizing pair: n nodes make n * k/2 edges, and back.
+    fn expected_edges(&self, n: u64) -> u64 {
+        n * (self.k / 2)
+    }
+
     fn num_nodes_for_edges(&self, num_edges: u64) -> u64 {
         num_edges / (self.k / 2).max(1)
     }

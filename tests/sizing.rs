@@ -107,3 +107,92 @@ fn plan_is_inspectable_and_ordered() {
     assert!(pos("structure(creates)") < pos("count(Message)"));
     assert!(pos("count(Message)") < pos("property(Message.t)"));
 }
+
+fn matrix_threads() -> usize {
+    std::env::var("DATASYNTH_TEST_THREADS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(7)
+}
+
+/// Records which tables the run told the sink anything about.
+#[derive(Default)]
+struct TouchedTables(Vec<String>);
+
+impl GraphSink for TouchedTables {
+    fn table_rows(
+        &mut self,
+        table: &str,
+        _rows: std::ops::Range<u64>,
+        _total: u64,
+    ) -> Result<(), SinkError> {
+        self.0.push(table.to_owned());
+        Ok(())
+    }
+
+    fn edges(
+        &mut self,
+        edge_type: &str,
+        _source: &str,
+        _target: &str,
+        _table: datasynth::tables::EdgeTable,
+    ) -> Result<(), SinkError> {
+        self.0.push(edge_type.to_owned());
+        Ok(())
+    }
+}
+
+#[test]
+fn out_of_range_structure_ids_are_a_sizing_error_not_a_worker_panic() {
+    /// A generator that is off by one: it emits node id `n`.
+    struct OneTooMany;
+    impl StructureGenerator for OneTooMany {
+        fn name(&self) -> &'static str {
+            "one_too_many"
+        }
+        fn run(&self, n: u64, _rng: &mut SplitMix64) -> datasynth::tables::EdgeTable {
+            datasynth::tables::EdgeTable::from_pairs("one_too_many", [(0, n)])
+        }
+        fn num_nodes_for_edges(&self, num_edges: u64) -> u64 {
+            num_edges
+        }
+        fn capabilities(&self) -> Capabilities {
+            Capabilities::default()
+        }
+    }
+
+    // sbm emits groups x group_size = 400 ids whatever the node count is;
+    // the library has no lint gate in front of it.
+    let cases = [
+        ("sbm(groups = 4, group_size = 100)", "tail id"),
+        ("one_too_many()", "head id 50"),
+    ];
+    for (structure, offender) in cases {
+        let src = format!(
+            "graph g {{
+                node A [count = 50] {{ x: long = counter(); }}
+                edge e: A -- A {{ structure = {structure}; }}
+            }}"
+        );
+        for threads in [1, matrix_threads()] {
+            let generator = DataSynth::from_dsl(&src)
+                .unwrap()
+                .register_structure("one_too_many", |_: &Params| Ok(Box::new(OneTooMany) as _))
+                .with_threads(threads);
+            let mut sink = TouchedTables::default();
+            let err = generator
+                .session()
+                .unwrap()
+                .run_into(&mut sink)
+                .expect_err("ids outside the node table must not run");
+            // A typed error, not `WorkerPanic`: nothing panicked, so
+            // nothing was printed to stderr either.
+            assert!(matches!(err, PipelineError::Sizing(_)), "{err:?}");
+            let msg = err.to_string();
+            for needle in ["edge \"e\"", offender, "A only has 50 instances"] {
+                assert!(msg.contains(needle), "{structure}: {msg}");
+            }
+            assert!(!sink.0.contains(&"e".to_owned()), "{:?}", sink.0);
+        }
+    }
+}

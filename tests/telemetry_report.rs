@@ -231,6 +231,34 @@ fn metered_sink_bytes_match_files_on_disk() {
 }
 
 #[test]
+fn prometheus_exposition_writes_each_series_once() {
+    // A metric family declared twice, or one `name{labels}` sample
+    // written twice, makes a Prometheus parser reject the whole scrape.
+    let generator = DataSynth::from_dsl(SCHEMA).unwrap().with_seed(31);
+    for attach in [false, true] {
+        let mut session = generator.session().unwrap();
+        if attach {
+            session = session.with_metrics(Arc::new(MetricsRegistry::new()));
+        }
+        let text = session.run_into(&mut Discard).unwrap().to_prometheus();
+        let mut seen = std::collections::BTreeSet::new();
+        for line in text.lines() {
+            // `# TYPE <name> <kind>` is keyed by name, a sample by
+            // everything before its value.
+            let key = match line.strip_prefix("# TYPE ") {
+                Some(family) => family.split(' ').next().unwrap(),
+                None => line.rsplit_once(' ').expect("sample line").0,
+            };
+            let fresh = seen.insert((line.starts_with('#'), key));
+            assert!(fresh, "attach={attach}: {key:?} written twice in:\n{text}");
+        }
+        for needle in ["datasynth_workers ", "datasynth_reorder_depth_max "] {
+            assert!(text.contains(needle), "attach={attach}: no {needle:?}");
+        }
+    }
+}
+
+#[test]
 fn report_without_registry_has_no_byte_counts() {
     let report = report_at(2, None);
     assert!(report.sink_bytes.is_empty());
