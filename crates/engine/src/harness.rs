@@ -10,7 +10,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use datasynth_core::DataSynth;
 use datasynth_schema::Schema;
@@ -189,12 +189,7 @@ impl<'a> Bench<'a> {
                     .expect("accumulator exists for every instantiated template");
                 let started = Instant::now();
                 exec.execute(&q.plan)?;
-                let micros = micros_since(started);
-                acc.executions += 1;
-                acc.hist.record(micros);
-                if let Some(h) = &acc.metric {
-                    h.record(micros);
-                }
+                acc.record(started.elapsed());
             }
         }
 
@@ -229,13 +224,29 @@ struct TemplateAcc {
     expected_rows: u64,
     in_band: u64,
     band: (u64, u64),
+    /// Measured execute time. Nanoseconds, converted once in `finish`:
+    /// most templates run in under a microsecond, so a sum of per-execution
+    /// microseconds would be zero.
+    nanos: u64,
     hist: Histogram,
     metric: Option<Arc<Histogram>>,
 }
 
 impl TemplateAcc {
+    /// Account one timed execution.
+    fn record(&mut self, elapsed: Duration) {
+        self.executions += 1;
+        self.nanos = self
+            .nanos
+            .saturating_add(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
+        let micros = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
+        self.hist.record(micros);
+        if let Some(h) = &self.metric {
+            h.record(micros);
+        }
+    }
+
     fn finish(self) -> TemplateBench {
-        let total = self.hist.sum();
         TemplateBench {
             id: self.id,
             kind: self.kind,
@@ -246,11 +257,11 @@ impl TemplateAcc {
             expected_rows: self.expected_rows,
             in_band: self.in_band,
             band: self.band,
-            total_micros: total,
-            ops_per_sec: if total == 0 {
+            total_micros: self.nanos / 1000,
+            ops_per_sec: if self.nanos == 0 {
                 0.0
             } else {
-                self.executions as f64 * 1e6 / total as f64
+                self.executions as f64 * 1e9 / self.nanos as f64
             },
             p50_micros: histogram_percentile(&self.hist, 0.50),
             p95_micros: histogram_percentile(&self.hist, 0.95),
@@ -274,6 +285,7 @@ fn accumulators(workload: &Workload) -> Vec<TemplateAcc> {
             expected_rows: 0,
             in_band: 0,
             band: (u64::MAX, 0),
+            nanos: 0,
             hist: Histogram::new(),
             metric: None,
         })
@@ -457,6 +469,28 @@ mod tests {
         }
         edge knows: Person -> Person { structure = erdos_renyi(p = 0.05); }
     }"#;
+
+    #[test]
+    fn a_sub_microsecond_template_reports_a_rate() {
+        let schema = parse_schema(DSL).unwrap();
+        let graph = DataSynth::new(schema.clone())
+            .unwrap()
+            .with_seed(7)
+            .generate()
+            .unwrap();
+        let workload = WorkloadGenerator::new(&schema, &graph)
+            .with_seed(7)
+            .generate(8)
+            .unwrap();
+        let mut acc = accumulators(&workload).remove(0);
+        for _ in 0..1000 {
+            acc.record(Duration::from_nanos(400));
+        }
+        let bench = acc.finish();
+        assert_eq!(bench.executions, 1000);
+        assert_eq!(bench.total_micros, 400);
+        assert_eq!(bench.ops_per_sec, 2.5e6);
+    }
 
     #[test]
     fn bench_runs_and_counts_stay_in_band() {

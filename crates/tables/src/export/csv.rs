@@ -5,62 +5,51 @@
 use std::io::{self, Write};
 use std::ops::Range;
 
-use super::csv_escape;
-use crate::{EdgeTable, PropertyTable};
+use super::cell::{push_csv_text, push_u64, Cells};
+use super::write_windows;
+use crate::EdgeTable;
 
 /// Write the header line if asked, then one record per global id in
-/// `rows`. `edges` and the property tables hold exactly those rows (their
-/// row `0` is global id `rows.start`), so concatenating the row output of
-/// a table's shards reproduces the full table's rows byte-for-byte.
+/// `rows`. `edges` and the columns hold exactly those rows (their row `0`
+/// is global id `rows.start`), so concatenating the row output of a
+/// table's shards reproduces the full table's rows byte-for-byte.
 pub(super) fn write_table<W: Write>(
     w: &mut W,
     write_header: bool,
     rows: Range<u64>,
     edges: Option<&EdgeTable>,
-    props: &[(&str, &PropertyTable)],
+    columns: &[(&str, Cells<'_>)],
 ) -> io::Result<()> {
+    let mut header = Vec::new();
     if write_header {
-        write!(
-            w,
-            "{}",
-            if edges.is_some() {
-                "id,tail,head"
-            } else {
-                "id"
-            }
-        )?;
-        for (name, _) in props {
-            write!(w, ",{}", csv_escape(name))?;
+        header.extend_from_slice(if edges.is_some() {
+            b"id,tail,head"
+        } else {
+            b"id"
+        });
+        for (name, _) in columns {
+            header.push(b',');
+            push_csv_text(&mut header, name);
         }
-        writeln!(w)?;
+        header.push(b'\n');
     }
-    match edges {
-        None => write_rows(w, rows, props, |w, id, _| write!(w, "{id}")),
-        Some(edges) => write_rows(w, rows, props, |w, id, row| {
-            let (t, h) = edges.edge(row);
-            write!(w, "{id},{t},{h}")
-        }),
-    }
-}
-
-/// The row loop: `lead(w, id, row)` writes the leading fields of global
-/// id `id`, which is row `row` of the columns.
-fn write_rows<W: Write>(
-    w: &mut W,
-    rows: Range<u64>,
-    props: &[(&str, &PropertyTable)],
-    lead: impl Fn(&mut W, u64, u64) -> io::Result<()>,
-) -> io::Result<()> {
     let offset = rows.start;
-    for id in rows {
-        lead(w, id, id - offset)?;
-        for (_, table) in props {
-            let v = table.value(id - offset).map_err(io::Error::other)?;
-            write!(w, ",{}", csv_escape(&v.render()))?;
+    let endpoints = edges.map(|e| (e.tails(), e.heads()));
+    write_windows(w, header, rows, |buf, id| {
+        let row = (id - offset) as usize;
+        push_u64(buf, id);
+        if let Some((tails, heads)) = endpoints {
+            buf.push(b',');
+            push_u64(buf, tails[row]);
+            buf.push(b',');
+            push_u64(buf, heads[row]);
         }
-        writeln!(w)?;
-    }
-    Ok(())
+        for (_, cells) in columns {
+            buf.push(b',');
+            cells.push_csv(buf, row);
+        }
+        buf.push(b'\n');
+    })
 }
 
 #[cfg(test)]

@@ -5,79 +5,56 @@
 use std::io::{self, Write};
 use std::ops::Range;
 
-use super::{json_escape, Endpoints};
-use crate::{PropertyTable, Value};
-
-fn write_value(out: &mut String, v: &Value) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Long(x) => out.push_str(&x.to_string()),
-        Value::Double(x) => {
-            if x.is_finite() {
-                out.push_str(&x.to_string());
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Text(_) | Value::Date(_) => {
-            out.push('"');
-            out.push_str(&json_escape(&v.render()));
-            out.push('"');
-        }
-    }
-}
+use super::cell::{push_json_text, push_u64, Cells};
+use super::{write_windows, Endpoints};
 
 /// Write one object per global id in `rows`. The endpoint pairs and the
-/// property tables hold exactly those rows (their row `0` is global id
+/// columns hold exactly those rows (their row `0` is global id
 /// `rows.start`). JSONL has no header, so a shard's output is exactly its
 /// row window.
 pub(super) fn write_table<W: Write>(
     w: &mut W,
     rows: Range<u64>,
     endpoints: Option<Endpoints<'_>>,
-    props: &[(&str, &PropertyTable)],
+    columns: &[(&str, Cells<'_>)],
 ) -> io::Result<()> {
-    match endpoints {
-        None => write_rows(w, rows, props, |line, id, _| {
-            line.push_str("{\"id\":");
-            line.push_str(&id.to_string());
-        }),
-        Some(e) => write_rows(w, rows, props, |line, id, row| {
-            let (t, h) = e.table.edge(row);
-            line.push_str(&format!(
-                "{{\"id\":{id},\"tail\":{t},\"head\":{h},\"source\":\"{}\",\"target\":\"{}\"",
-                json_escape(e.source),
-                json_escape(e.target)
-            ));
-        }),
-    }
-}
-
-/// The row loop: `lead(line, id, row)` opens the object of global id
-/// `id`, which is row `row` of the columns.
-fn write_rows<W: Write>(
-    w: &mut W,
-    rows: Range<u64>,
-    props: &[(&str, &PropertyTable)],
-    lead: impl Fn(&mut String, u64, u64),
-) -> io::Result<()> {
+    // What every row repeats is escaped once: each property's `,"name":`
+    // and an edge table's `,"source":"S","target":"T"`.
+    let keys: Vec<Vec<u8>> = columns
+        .iter()
+        .map(|(name, _)| {
+            let mut key = b",\"".to_vec();
+            push_json_text(&mut key, name);
+            key.extend_from_slice(b"\":");
+            key
+        })
+        .collect();
+    let edges = endpoints.map(|e| {
+        let mut types = b",\"source\":\"".to_vec();
+        push_json_text(&mut types, e.source);
+        types.extend_from_slice(b"\",\"target\":\"");
+        push_json_text(&mut types, e.target);
+        types.push(b'"');
+        (e.table.tails(), e.table.heads(), types)
+    });
     let offset = rows.start;
-    let mut line = String::new();
-    for id in rows {
-        line.clear();
-        lead(&mut line, id, id - offset);
-        for (name, table) in props {
-            line.push_str(",\"");
-            line.push_str(&json_escape(name));
-            line.push_str("\":");
-            let v = table.value(id - offset).map_err(io::Error::other)?;
-            write_value(&mut line, &v);
+    write_windows(w, Vec::new(), rows, |buf, id| {
+        let row = (id - offset) as usize;
+        buf.extend_from_slice(b"{\"id\":");
+        push_u64(buf, id);
+        if let Some((tails, heads, types)) = &edges {
+            buf.extend_from_slice(b",\"tail\":");
+            push_u64(buf, tails[row]);
+            buf.extend_from_slice(b",\"head\":");
+            push_u64(buf, heads[row]);
+            buf.extend_from_slice(types);
         }
-        line.push('}');
-        writeln!(w, "{line}")?;
-    }
-    Ok(())
+        for (key, (_, cells)) in keys.iter().zip(columns) {
+            buf.extend_from_slice(key);
+            cells.push_json(buf, row);
+        }
+        buf.extend_from_slice(b"}\n");
+    })
 }
 
 #[cfg(test)]

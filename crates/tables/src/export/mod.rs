@@ -5,18 +5,39 @@
 //! among its requirements. We provide the two interchange formats everything
 //! else can ingest — CSV directories and JSON-lines.
 //!
-//! There is one write path. [`TableFormat`] is the workspace's only
-//! csv/jsonl enum, and [`TableSlice`] is the only way to turn one table —
-//! a row window of it, for sharded runs — into bytes: [`TableSlice::new`]
-//! checks every column against the window, [`TableSlice::write`] picks the
-//! format once and runs that format's row loop (the private `csv` /
-//! `jsonl` modules). Everything that emits a table goes through it:
-//! [`export_dir`] (behind [`CsvExporter`] / [`JsonlExporter`]) replays an
-//! in-memory [`PropertyGraph`], and the streaming sinks in `datasynth-core`
-//! (`CsvSink`, `JsonlSink`, `TableSink`) call it the moment a table's last
-//! column arrives. [`ops`] holds the row writers of the op log, which is
-//! not a table of columns.
+//! There is one write path, and behind it one cell kernel. [`TableFormat`]
+//! is the workspace's only csv/jsonl enum, and [`TableSlice`] is the only
+//! way to turn one table — a row window of it, for sharded runs — into
+//! bytes: [`TableSlice::new`] checks every column against the window,
+//! [`TableSlice::write`] resolves each property column to its typed slice
+//! once, picks the format once and runs that format's row loop (the
+//! private `csv` / `jsonl` modules). Everything that emits a table goes
+//! through it: [`export_dir`] (behind [`CsvExporter`] / [`JsonlExporter`])
+//! replays an in-memory [`PropertyGraph`], and the streaming sinks in
+//! `datasynth-core` (`CsvSink`, `JsonlSink`, `TableSink`) call it the
+//! moment a table's last column arrives. [`ops::write_ops`] is the same
+//! loop over the op log, which is not a table of columns.
+//!
+//! The private `cell` module is the one definition of a cell's text form:
+//! integers, floats (std's `Display`), dates, CSV fields and JSON strings
+//! are appended to a byte buffer, with no `Value`, no `String` and no
+//! allocation per cell. What never changes from row to row — the CSV
+//! header, every JSONL `"key":`, an edge table's `"source"`/`"target"` —
+//! is escaped once per table. [`csv_escape`], [`json_escape`],
+//! `Value::render` and `format_date` stay public as the reference the
+//! tests hold the kernel to.
+//!
+//! Rows are formatted into one reused buffer and handed to the writer a
+//! window of [`WINDOW_ROWS`] rows at a time: one `write_all` per window,
+//! not per row, and memory bounded by a window, not by the table. The
+//! window is a constant and not an option because it cannot reach the
+//! bytes — windows are written back to back in row order — so there is
+//! nothing for a caller to choose; it only has to be large enough to
+//! amortise the call into the writer and small enough to stay in cache.
+//! Disjoint row windows are also the unit a later change can format in
+//! parallel.
 
+mod cell;
 mod csv;
 mod jsonl;
 pub mod ops;
@@ -27,7 +48,36 @@ use std::io::{self, BufWriter, Write};
 use std::ops::Range;
 use std::path::Path;
 
+use self::cell::Cells;
 use crate::{EdgeTable, PropertyGraph, PropertyTable};
+
+/// Rows formatted into the buffer between two hand-offs to the writer.
+pub const WINDOW_ROWS: u64 = 1024;
+
+/// The window loop behind every row writer: `push_row(buf, id)` appends
+/// the bytes of row `id`; the buffer — which arrives holding the header,
+/// if there is one — goes to `w` after every [`WINDOW_ROWS`] rows and is
+/// reused for the next window.
+fn write_windows<W: Write>(
+    w: &mut W,
+    mut buf: Vec<u8>,
+    rows: Range<u64>,
+    mut push_row: impl FnMut(&mut Vec<u8>, u64),
+) -> io::Result<()> {
+    let mut next = rows.start;
+    loop {
+        let end = rows.end.min(next.saturating_add(WINDOW_ROWS));
+        for id in next..end {
+            push_row(&mut buf, id);
+        }
+        w.write_all(&buf)?;
+        buf.clear();
+        next = end;
+        if next >= rows.end {
+            return Ok(());
+        }
+    }
+}
 
 /// The serialization of a table (or op log): the one csv/jsonl choice,
 /// made at the edge by whoever opens the output.
@@ -146,13 +196,18 @@ impl<'a> TableSlice<'a> {
         format: TableFormat,
         write_header: bool,
     ) -> io::Result<()> {
-        let (rows, props) = (self.rows.clone(), self.props);
+        let rows = self.rows.clone();
+        let columns: Vec<(&str, Cells<'_>)> = self
+            .props
+            .iter()
+            .map(|(name, table)| (*name, Cells::from(table.column())))
+            .collect();
         match format {
             TableFormat::Csv => {
                 let edges = self.endpoints.map(|e| e.table);
-                csv::write_table(w, write_header, rows, edges, props)
+                csv::write_table(w, write_header, rows, edges, &columns)
             }
-            TableFormat::Jsonl => jsonl::write_table(w, rows, self.endpoints, props),
+            TableFormat::Jsonl => jsonl::write_table(w, rows, self.endpoints, &columns),
         }
     }
 }

@@ -6,14 +6,15 @@
 //! lives in the snapshot tables, so the log stays narrow and the
 //! snapshot stays the single source of truth for values.
 //!
-//! Like the node/edge table writers, these are plain `io::Write`
-//! streamers shared by whole-run export and chunked HTTP streaming, so
-//! both paths produce byte-identical files.
+//! [`write_ops`] is the table writers' loop over op rows: the same cell
+//! kernel, the same window buffer, and whole-run export and chunked HTTP
+//! streaming share it, so both paths produce byte-identical files.
 
 use std::io::{self, Write};
+use std::ops::Range;
 
-use crate::date::format_date;
-use crate::export::{csv_escape, json_escape};
+use super::cell::{push_csv_text, push_date, push_json_text, push_u64};
+use super::{write_windows, TableFormat};
 
 /// One operation-log row, ready to serialize.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,37 +34,50 @@ pub struct OpRow<'a> {
     pub row: u64,
 }
 
-/// The CSV header line for op logs. Written once per full file (shard 0
-/// only, like the per-table exporters, so shard concatenation yields one
-/// well-formed file).
-pub fn write_ops_header(out: &mut dyn Write) -> io::Result<()> {
-    writeln!(out, "op,ts,kind,table,row")
-}
-
-/// Serialize one op as a CSV record.
-pub fn write_op_row_csv(out: &mut dyn Write, op: &OpRow<'_>) -> io::Result<()> {
-    writeln!(
-        out,
-        "{},{},{},{},{}",
-        op.op,
-        format_date(op.ts),
-        csv_escape(op.kind),
-        csv_escape(op.table),
-        op.row
-    )
-}
-
-/// Serialize one op as a JSON-lines record.
-pub fn write_op_row_jsonl(out: &mut dyn Write, op: &OpRow<'_>) -> io::Result<()> {
-    writeln!(
-        out,
-        "{{\"op\":{},\"ts\":\"{}\",\"kind\":\"{}\",\"table\":\"{}\",\"row\":{}}}",
-        op.op,
-        format_date(op.ts),
-        json_escape(op.kind),
-        json_escape(op.table),
-        op.row
-    )
+/// Write ops `window` of the global op sequence into `w` in `format`;
+/// `op_at(i)` is op `i`. `write_header` asks for the CSV header line
+/// (JSONL has none): once per full file — shard 0 only, like the
+/// per-table writers, so shard concatenation yields one well-formed file.
+pub fn write_ops<'a, W: Write>(
+    w: &mut W,
+    format: TableFormat,
+    write_header: bool,
+    window: Range<u64>,
+    mut op_at: impl FnMut(u64) -> OpRow<'a>,
+) -> io::Result<()> {
+    let mut header = Vec::new();
+    if write_header && format == TableFormat::Csv {
+        header.extend_from_slice(b"op,ts,kind,table,row\n");
+    }
+    match format {
+        TableFormat::Csv => write_windows(w, header, window, |buf, i| {
+            let op = op_at(i);
+            push_u64(buf, op.op);
+            buf.push(b',');
+            push_date(buf, op.ts);
+            buf.push(b',');
+            push_csv_text(buf, op.kind);
+            buf.push(b',');
+            push_csv_text(buf, op.table);
+            buf.push(b',');
+            push_u64(buf, op.row);
+            buf.push(b'\n');
+        }),
+        TableFormat::Jsonl => write_windows(w, header, window, |buf, i| {
+            let op = op_at(i);
+            buf.extend_from_slice(b"{\"op\":");
+            push_u64(buf, op.op);
+            buf.extend_from_slice(b",\"ts\":\"");
+            push_date(buf, op.ts);
+            buf.extend_from_slice(b"\",\"kind\":\"");
+            push_json_text(buf, op.kind);
+            buf.extend_from_slice(b"\",\"table\":\"");
+            push_json_text(buf, op.table);
+            buf.extend_from_slice(b"\",\"row\":");
+            push_u64(buf, op.row);
+            buf.extend_from_slice(b"}\n");
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -81,14 +95,13 @@ mod tests {
             row: 41,
         };
         let mut csv = Vec::new();
-        write_ops_header(&mut csv).unwrap();
-        write_op_row_csv(&mut csv, &op).unwrap();
+        write_ops(&mut csv, TableFormat::Csv, true, 3..4, |_| op.clone()).unwrap();
         assert_eq!(
             String::from_utf8(csv).unwrap(),
             "op,ts,kind,table,row\n3,2012-06-15,INSERT_EDGE,knows,41\n"
         );
         let mut jsonl = Vec::new();
-        write_op_row_jsonl(&mut jsonl, &op).unwrap();
+        write_ops(&mut jsonl, TableFormat::Jsonl, false, 3..4, |_| op.clone()).unwrap();
         assert_eq!(
             String::from_utf8(jsonl).unwrap(),
             "{\"op\":3,\"ts\":\"2012-06-15\",\"kind\":\"INSERT_EDGE\",\"table\":\"knows\",\"row\":41}\n"

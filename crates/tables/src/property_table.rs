@@ -125,17 +125,23 @@ impl PropertyTable {
     /// Append a value; the id is implicitly the previous length.
     pub fn push(&mut self, v: Value) -> Result<(), TableError> {
         let expected = self.column.value_type();
-        let mismatch = || TableError::TypeMismatch {
-            expected,
-            got: v.value_type(),
-        };
-        match (&mut self.column, &v) {
-            (Column::Bools(col), Value::Bool(b)) => col.push(*b),
-            (Column::Longs(col), Value::Long(x)) => col.push(*x),
-            (Column::Doubles(col), Value::Double(x)) => col.push(*x),
-            (Column::Texts(col), Value::Text(s)) => col.push(s.clone()),
-            (Column::Dates(col), Value::Date(d)) => col.push(*d),
-            _ => return Err(mismatch()),
+        match (&mut self.column, v) {
+            (Column::Bools(col), Value::Bool(b)) => col.push(b),
+            (Column::Longs(col), Value::Long(x)) => col.push(x),
+            (Column::Doubles(col), Value::Double(x)) => col.push(x),
+            (Column::Texts(col), Value::Text(mut s)) => {
+                // The string is moved in, not copied; drop what growth slack
+                // its builder left, which a column would hold a million times.
+                s.shrink_to_fit();
+                col.push(s);
+            }
+            (Column::Dates(col), Value::Date(d)) => col.push(d),
+            (_, v) => {
+                return Err(TableError::TypeMismatch {
+                    expected,
+                    got: v.value_type(),
+                })
+            }
         }
         Ok(())
     }

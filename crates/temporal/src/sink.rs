@@ -1,6 +1,5 @@
 //! The op-log sink.
 
-use std::collections::BTreeMap;
 use std::io::Write;
 use std::ops::Range;
 use std::sync::Arc;
@@ -8,11 +7,9 @@ use std::sync::Arc;
 use datasynth_core::{GraphSink, ShardSpec, SinkError, SinkManifest, TableRows};
 use datasynth_prng::{fnv1a_64, mix64};
 use datasynth_schema::{Schema, TemporalDef};
-use datasynth_tables::export::ops::{
-    write_op_row_csv, write_op_row_jsonl, write_ops_header, OpRow,
-};
+use datasynth_tables::export::ops::{write_ops, OpRow};
 use datasynth_tables::export::TableFormat;
-use datasynth_telemetry::MetricsRegistry;
+use datasynth_telemetry::{CountingWrite, MetricsRegistry};
 
 use crate::{OpKind, TypeClock};
 
@@ -25,6 +22,14 @@ pub type OpsFormat = TableFormat;
 pub fn ops_file_name(format: OpsFormat) -> String {
     format!("ops.{}", format.extension())
 }
+
+/// Every [`OpKind`], at the index of its [`rank`](OpKind::rank).
+const KINDS_BY_RANK: [OpKind; 4] = [
+    OpKind::InsertNode,
+    OpKind::InsertEdge,
+    OpKind::DeleteEdge,
+    OpKind::DeleteNode,
+];
 
 /// One temporal table: its position in the global tie-break order, its
 /// clock, and what the run reported about it.
@@ -172,43 +177,28 @@ impl<W: Write> GraphSink for TemporalSink<W> {
 
         let total_ops = ops.len() as u64;
         let window = self.shard.window(total_ops);
-        let mut buf = Vec::new();
-        let mut bytes = 0u64;
         let mut content_hash = 0u64;
-        let mut kind_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
-        if self.shard.writes_header(self.format) {
-            buf.clear();
-            write_ops_header(&mut buf).map_err(SinkError::Io)?;
-            bytes += buf.len() as u64;
-            self.out.write_all(&buf).map_err(SinkError::Io)?;
-        }
-        for op_index in window.clone() {
-            let (ts, rank, table_idx, row) = ops[op_index as usize];
-            let table = &self.tables[table_idx as usize];
-            let kind = if rank == table.insert_kind.rank() {
-                table.insert_kind
-            } else {
-                table.delete_kind
-            };
+        let mut kind_counts = [0u64; KINDS_BY_RANK.len()];
+        let mut hash_scratch = Vec::new();
+        let mut out = CountingWrite::new(&mut self.out);
+        let tables = &self.tables;
+        let write_header = self.shard.writes_header(self.format);
+        write_ops(&mut out, self.format, write_header, window.clone(), |op| {
+            let (ts, rank, table_idx, row) = ops[op as usize];
+            kind_counts[usize::from(rank)] += 1;
             let op = OpRow {
-                op: op_index,
+                op,
                 ts,
-                kind: kind.keyword(),
-                table: &table.name,
+                kind: KINDS_BY_RANK[usize::from(rank)].keyword(),
+                table: &tables[table_idx as usize].name,
                 row,
             };
-            buf.clear();
-            match self.format {
-                OpsFormat::Csv => write_op_row_csv(&mut buf, &op),
-                OpsFormat::Jsonl => write_op_row_jsonl(&mut buf, &op),
-            }
-            .map_err(SinkError::Io)?;
-            bytes += buf.len() as u64;
-            self.out.write_all(&buf).map_err(SinkError::Io)?;
-            content_hash = content_hash.wrapping_add(op_hash(&op));
-            *kind_counts.entry(kind.keyword()).or_insert(0) += 1;
-        }
-        self.out.flush().map_err(SinkError::Io)?;
+            content_hash = content_hash.wrapping_add(op_hash(&mut hash_scratch, &op));
+            op
+        })
+        .and_then(|()| out.flush())
+        .map_err(SinkError::Io)?;
+        let bytes = out.bytes();
         self.window = Some(TableRows {
             lo: window.start,
             hi: window.end,
@@ -216,10 +206,11 @@ impl<W: Write> GraphSink for TemporalSink<W> {
             content_hash,
         });
         if let Some(metrics) = &self.metrics {
-            for (kind, count) in &kind_counts {
+            let counted = KINDS_BY_RANK.iter().zip(kind_counts);
+            for (kind, count) in counted.filter(|(_, count)| *count > 0) {
                 metrics
-                    .counter_with("datasynth_ops_total", Some(("kind", kind)))
-                    .add(*count);
+                    .counter_with("datasynth_ops_total", Some(("kind", kind.keyword())))
+                    .add(count);
             }
             metrics
                 .counter_with("datasynth_sink_rows_total", Some(("table", "$ops")))
@@ -243,8 +234,8 @@ impl<W: Write> GraphSink for TemporalSink<W> {
 /// agnostic: a CSV run and a JSONL run of the same graph hash alike).
 /// Shard hashes sum (wrapping) to the full-log hash, exactly like the
 /// snapshot tables' cell hashes under `SinkManifest::merge`.
-fn op_hash(op: &OpRow<'_>) -> u64 {
-    let mut bytes = Vec::with_capacity(32 + op.table.len());
+fn op_hash(bytes: &mut Vec<u8>, op: &OpRow<'_>) -> u64 {
+    bytes.clear();
     bytes.extend_from_slice(&op.op.to_le_bytes());
     bytes.extend_from_slice(&op.ts.to_le_bytes());
     bytes.extend_from_slice(op.kind.as_bytes());
@@ -252,7 +243,7 @@ fn op_hash(op: &OpRow<'_>) -> u64 {
     bytes.extend_from_slice(op.table.as_bytes());
     bytes.push(0);
     bytes.extend_from_slice(&op.row.to_le_bytes());
-    mix64(fnv1a_64(&bytes))
+    mix64(fnv1a_64(bytes))
 }
 
 #[cfg(test)]
@@ -278,6 +269,13 @@ mod tests {
             }"#,
         )
         .unwrap()
+    }
+
+    #[test]
+    fn kinds_are_listed_by_rank() {
+        for (rank, kind) in KINDS_BY_RANK.iter().enumerate() {
+            assert_eq!(usize::from(kind.rank()), rank);
+        }
     }
 
     #[test]

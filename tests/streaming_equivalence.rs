@@ -14,8 +14,9 @@ use proptest::prelude::*;
 use datasynth::analysis::StatsSink;
 use datasynth::core::{analyze, emission_schedule, Artifact};
 use datasynth::prelude::*;
-use datasynth::tables::export::csv_escape;
+use datasynth::tables::export::{csv_escape, WINDOW_ROWS};
 use datasynth::tables::{EdgeTable, PropertyTable};
+use datasynth::temporal::TemporalSink;
 use datasynth::workload::WorkloadSink;
 
 const SCHEMA: &str = r#"
@@ -482,6 +483,130 @@ fn a_failing_sink_ends_in_a_typed_error_at_any_callback_and_thread_count() {
         }
         assert!(errors[0].starts_with(&format!("callback {fail_at} (")));
         assert_eq!(errors[0], errors[1], "same failure at 1 and N threads");
+    }
+}
+
+/// A writer that takes `left` more bytes and then fails like a full disk.
+struct FailAfter {
+    left: usize,
+}
+
+impl std::io::Write for FailAfter {
+    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+        if self.left == 0 {
+            return Err(std::io::Error::other("no space left on device"));
+        }
+        let taken = data.len().min(self.left);
+        self.left -= taken;
+        Ok(taken)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A byte offset a few bytes into the second window of `output`, whose
+/// rows are lines: past the optional header and `WINDOW_ROWS` rows, with
+/// more output to follow.
+fn inside_second_window(output: &[u8], header: bool) -> usize {
+    let lines = WINDOW_ROWS as usize + usize::from(header);
+    let mut line_ends = output.iter().enumerate().filter(|(_, b)| **b == b'\n');
+    let (first_window_end, _) = line_ends.nth(lines - 1).expect("two windows of rows");
+    let cut = first_window_end + 10;
+    assert!(cut < output.len(), "the second window must hold the cut");
+    cut
+}
+
+/// A temporal schema whose `knows` table and op log both span more than
+/// one window of rows.
+const TEMPORAL_SCHEMA: &str = r#"
+graph midtable {
+  node Person [count = 300] {
+    country: text = dictionary("countries");
+    temporal { arrival = date_between("2015-01-01", "2017-01-01"); }
+  }
+  edge knows: Person -- Person {
+    structure = rmat(edge_factor = 4);
+    temporal {
+      arrival = date_between("2015-01-01", "2017-01-01");
+      lifetime = uniform(10, 200);
+    }
+  }
+}
+"#;
+
+fn temporal_generator(threads: usize) -> DataSynth {
+    DataSynth::from_dsl(TEMPORAL_SCHEMA)
+        .unwrap()
+        .with_seed(3)
+        .with_threads(threads)
+}
+
+/// Run the temporal schema's `knows` table into `out`.
+fn knows_into<W: std::io::Write>(
+    threads: usize,
+    format: TableFormat,
+    out: W,
+) -> (Result<(), PipelineError>, TableSink<W>) {
+    let generator = temporal_generator(threads);
+    let mut sink = TableSink::new("knows", format, out);
+    let outcome = generator.session().unwrap().run_into(&mut sink).map(|_| ());
+    (outcome, sink)
+}
+
+/// Run the temporal schema's op log into `out`.
+fn op_log_into<W: std::io::Write>(
+    threads: usize,
+    format: TableFormat,
+    out: W,
+) -> (Result<(), PipelineError>, TemporalSink<W>) {
+    let generator = temporal_generator(threads);
+    let mut sink = TemporalSink::new(generator.schema(), out, format).unwrap();
+    let session = generator.session().unwrap().with_ops(true);
+    let outcome = session.run_into(&mut sink).map(|_| ());
+    (outcome, sink)
+}
+
+/// The failing-sink matrix above fails whole callbacks; the write path
+/// hands a table to its writer a window at a time, so a writer can also
+/// fail *inside* a table, after earlier windows were accepted. That must
+/// end the run in `SinkError::Io` with the table not counted as written.
+#[test]
+fn a_writer_failing_mid_table_ends_in_an_io_error_under_both_writing_sinks() {
+    for format in [TableFormat::Csv, TableFormat::Jsonl] {
+        let header = format == TableFormat::Csv;
+
+        // TableSink: one table of the run into the failing writer.
+        let (outcome, whole) = knows_into(1, format, Vec::new());
+        outcome.unwrap();
+        let cut = inside_second_window(&whole.into_inner(), header);
+        for threads in [1, matrix_threads()] {
+            let (outcome, sink) = knows_into(threads, format, FailAfter { left: cut });
+            assert!(
+                matches!(outcome, Err(PipelineError::Sink(SinkError::Io(_)))),
+                "TableSink {format:?} at {threads} threads: {outcome:?}"
+            );
+            assert_eq!(sink.rows_written(), 0, "a torn table is not a written one");
+            assert_eq!(sink.into_inner().left, 0, "the first window was accepted");
+        }
+
+        // TemporalSink: the op log, whose rows go through the same windows.
+        let (outcome, whole) = op_log_into(1, format, Vec::new());
+        outcome.unwrap();
+        let cut = inside_second_window(&whole.into_inner(), header);
+        for threads in [1, matrix_threads()] {
+            let (outcome, mut sink) = op_log_into(threads, format, FailAfter { left: cut });
+            assert!(
+                matches!(outcome, Err(PipelineError::Sink(SinkError::Io(_)))),
+                "TemporalSink {format:?} at {threads} threads: {outcome:?}"
+            );
+            assert!(
+                sink.contributed_tables().is_empty(),
+                "a torn op log contributes no $ops row"
+            );
+            assert_eq!(sink.into_inner().left, 0, "the first window was accepted");
+        }
     }
 }
 
