@@ -8,6 +8,7 @@ use datasynth::matching::{
 use datasynth::prng::SplitMix64;
 use datasynth::structure::{LfrGenerator, RmatGenerator, StructureGenerator};
 use datasynth::tables::{Csr, EdgeTable};
+use datasynth::telemetry::fnv1a_64;
 
 struct Setup {
     edges: EdgeTable,
@@ -31,7 +32,14 @@ fn protocol(edges: EdgeTable, n: u64, k: usize, seed: u64) -> Setup {
     }
 }
 
-fn match_and_score(setup: &Setup, seed: u64) -> (f64, f64) {
+/// FNV-1a over the little-endian bytes of an assignment: pins every
+/// node's group, so a matcher change that moves one node fails loudly.
+fn digest(group_of: &[u32]) -> u64 {
+    let bytes: Vec<u8> = group_of.iter().flat_map(|g| g.to_le_bytes()).collect();
+    fnv1a_64(&bytes)
+}
+
+fn match_and_score(setup: &Setup, seed: u64) -> (f64, f64, u64) {
     let input = MatchInput {
         group_sizes: &setup.sizes,
         jpd: &setup.expected,
@@ -48,7 +56,7 @@ fn match_and_score(setup: &Setup, seed: u64) -> (f64, f64) {
     let rand = random_matching(&setup.sizes, n, seed ^ 0xBEEF);
     let observed_r = empirical_jpd(&rand.group_of, &setup.edges, setup.expected.k());
     let cmp_r = compare_jpds(&setup.expected, &observed_r);
-    (cmp.l1, cmp_r.l1)
+    (cmp.l1, cmp_r.l1, digest(&smart.group_of))
 }
 
 #[test]
@@ -56,7 +64,11 @@ fn lfr_matching_is_high_quality_and_beats_random() {
     let n = 10_000;
     let edges = LfrGenerator::paper_defaults().run(n, &mut SplitMix64::new(1));
     let setup = protocol(edges, n, 16, 2);
-    let (l1, l1_random) = match_and_score(&setup, 3);
+    let (l1, l1_random, pin) = match_and_score(&setup, 3);
+    assert_eq!(
+        pin, 0x59a8_e7b1_f2db_e026,
+        "LFR(10k) k = 16 assignment moved"
+    );
     assert!(l1 < 0.25, "LFR L1 = {l1}");
     assert!(l1 < 0.25 * l1_random, "SBM-Part {l1} vs random {l1_random}");
 }
@@ -65,7 +77,11 @@ fn lfr_matching_is_high_quality_and_beats_random() {
 fn rmat_matching_beats_random() {
     let edges = RmatGenerator::graph500().run_scale(13, &mut SplitMix64::new(4));
     let setup = protocol(edges, 1 << 13, 16, 5);
-    let (l1, l1_random) = match_and_score(&setup, 6);
+    let (l1, l1_random, pin) = match_and_score(&setup, 6);
+    assert_eq!(
+        pin, 0x5c83_3ec6_4d0f_8d57,
+        "RMAT(2^13) k = 16 assignment moved"
+    );
     assert!(l1 < 0.5 * l1_random, "SBM-Part {l1} vs random {l1_random}");
 }
 
@@ -76,7 +92,13 @@ fn quality_holds_across_k() {
     let edges = LfrGenerator::paper_defaults().run(n, &mut SplitMix64::new(7));
     for k in [4usize, 16, 64] {
         let setup = protocol(edges.clone(), n, k, 8);
-        let (l1, l1_random) = match_and_score(&setup, 9);
+        let (l1, l1_random, pin) = match_and_score(&setup, 9);
+        let want = match k {
+            4 => 0x4a0a_6b93_507e_65e5,
+            16 => 0x3a3f_5cdd_44fb_6636,
+            _ => 0xe796_4b8a_e45c_2ff1,
+        };
+        assert_eq!(pin, want, "LFR(10k) k = {k} assignment moved");
         // k = 64 at 10k nodes is far below the paper's 1M-node setting;
         // the win over random shrinks with group size (Figure 4's point).
         let factor = if k == 64 { 0.75 } else { 0.5 };
@@ -101,6 +123,11 @@ fn diagonal_homophily_mass_is_recovered() {
     let mut order: Vec<u64> = (0..n).collect();
     SplitMix64::new(12).shuffle(&mut order);
     let result = sbm_part(&input, &order);
+    assert_eq!(
+        digest(&result.group_of),
+        0xeb20_cc21_276f_a046,
+        "LFR(10k) k = 16 assignment moved"
+    );
     let observed = empirical_jpd(&result.group_of, &setup.edges, 16);
     let expected_diag = setup.expected.diagonal_mass();
     let observed_diag = observed.diagonal_mass();
