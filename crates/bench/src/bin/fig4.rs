@@ -9,9 +9,8 @@
 //! ```
 
 use datasynth_bench::{
-    maybe_write_csv, result_row, run_matching_experiment, CliOptions, GraphKind, Matcher,
+    maybe_write_csv, result_row, run_matching_experiment, CliOptions, GraphKind,
 };
-use datasynth_matching::SbmPartConfig;
 
 fn main() {
     let opts = CliOptions::from_args();
@@ -24,23 +23,13 @@ fn main() {
 
     println!("== Figure 4: matching quality vs number of values (fixed size) ==\n");
     for &k in &ks {
-        let r = run_matching_experiment(
-            GraphKind::Lfr { n: lfr_n },
-            k,
-            opts.seed,
-            Matcher::SbmPart(SbmPartConfig::default()),
-        );
+        let r = run_matching_experiment(GraphKind::Lfr { n: lfr_n }, k, opts.seed);
         maybe_write_csv(&opts, &format!("fig4_lfr_{lfr_n}_{k}"), &r);
         println!("{}", result_row(&r));
     }
     println!();
     for &k in &ks {
-        let r = run_matching_experiment(
-            GraphKind::Rmat { scale: rmat_scale },
-            k,
-            opts.seed,
-            Matcher::SbmPart(SbmPartConfig::default()),
-        );
+        let r = run_matching_experiment(GraphKind::Rmat { scale: rmat_scale }, k, opts.seed);
         maybe_write_csv(&opts, &format!("fig4_rmat_{rmat_scale}_{k}"), &r);
         println!("{}", result_row(&r));
     }

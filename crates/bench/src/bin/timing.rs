@@ -10,13 +10,7 @@
 //! cargo run --release -p datasynth-bench --bin timing [--full] [--seed N]
 //! ```
 
-use std::time::Instant;
-
-use datasynth_bench::{CliOptions, GraphKind};
-use datasynth_matching::evaluate::{empirical_jpd, geometric_group_sizes};
-use datasynth_matching::{ldg_partition, sbm_part, MatchInput};
-use datasynth_prng::SplitMix64;
-use datasynth_tables::Csr;
+use datasynth_bench::{run_matching_experiment, CliOptions, GraphKind};
 
 fn main() {
     let opts = CliOptions::from_args();
@@ -34,36 +28,16 @@ fn main() {
     );
     for (scale, k) in cells {
         let kind = GraphKind::Rmat { scale };
-        let n = kind.num_nodes();
-        let edges = kind.generate(opts.seed);
-        let csr = Csr::undirected(&edges, n);
-        let sizes = geometric_group_sizes(n, k, 0.4);
-        let mut order: Vec<u64> = (0..n).collect();
-        SplitMix64::new(opts.seed ^ 0x5151).shuffle(&mut order);
-        let truth = ldg_partition(&csr, &sizes, &order);
-        let expected = empirical_jpd(&truth, &edges, k);
-        let mut order2: Vec<u64> = (0..n).collect();
-        SplitMix64::new(opts.seed ^ 0xACDC).shuffle(&mut order2);
-
-        let input = MatchInput {
-            group_sizes: &sizes,
-            jpd: &expected,
-            csr: &csr,
-            num_edges: edges.len(),
-        };
-        let start = Instant::now();
-        let result = sbm_part(&input, &order2);
-        let secs = start.elapsed().as_secs_f64();
-        // Keep the result alive so the measurement cannot be elided.
-        assert_eq!(result.group_of.len() as u64, n);
+        let r = run_matching_experiment(kind, k, opts.seed);
+        let secs = r.match_seconds;
         println!(
             "{:<10} {:>4} {:>12} {:>10.2} {:>14.0} {:>14.0}",
-            kind.label(),
+            r.graph,
             k,
-            edges.len(),
+            r.num_edges,
             secs,
-            edges.len() as f64 / secs,
-            n as f64 / secs
+            r.num_edges as f64 / secs,
+            kind.num_nodes() as f64 / secs
         );
     }
 }

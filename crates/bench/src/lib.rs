@@ -1,28 +1,19 @@
-//! Shared experiment harness for the paper-reproduction benchmarks.
+//! Paper-figure harness: one binary per table or figure of the paper
+//! (`fig3`, `fig4`, `table1`, `timing`). Speed is measured by the
+//! repository's `benchmark/` package, not here.
 //!
-//! Every binary in this crate regenerates one table or figure of the paper
-//! (see DESIGN.md for the index). The harness implements the §4.2 protocol:
-//!
-//! 1. generate a graph with LFR or RMAT,
-//! 2. fabricate ground-truth groups by partitioning it with LDG into `k`
-//!    geometric-sized groups,
-//! 3. measure the resulting joint distribution `P(X,Y)` — the *expected*
-//!    distribution,
-//! 4. run a matcher (SBM-Part, or a baseline) from scratch against that
-//!    target, and
-//! 5. compare expected vs observed CDFs.
+//! The matching figures run the §4.2 protocol of
+//! [`datasynth_matching::evaluate::Protocol`] on an LFR or RMAT graph and
+//! report SBM-Part's expected-vs-observed distances beside those of a
+//! random matching of the same graph (the floor SBM-Part must beat).
 
 use std::time::Instant;
 
-use datasynth_matching::evaluate::{
-    compare_jpds, empirical_jpd, geometric_group_sizes, CdfComparison,
-};
-use datasynth_matching::{
-    ldg_partition, random_matching, sbm_part_with, Jpd, MatchInput, SbmPartConfig,
-};
+use datasynth_matching::evaluate::{stream_order, CdfComparison, Protocol};
+use datasynth_matching::{random_matching, sbm_part};
 use datasynth_prng::SplitMix64;
 use datasynth_structure::{LfrGenerator, RmatGenerator, StructureGenerator};
-use datasynth_tables::{Csr, EdgeTable};
+use datasynth_tables::EdgeTable;
 
 /// Which generator produced the experiment graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,15 +67,6 @@ fn human(n: u64) -> String {
     }
 }
 
-/// Which matcher to evaluate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Matcher {
-    /// SBM-Part with a configuration.
-    SbmPart(SbmPartConfig),
-    /// Uniform random matching (the "no correlation" baseline).
-    Random,
-}
-
 /// Result of one experiment cell.
 #[derive(Debug)]
 pub struct ExperimentResult {
@@ -94,57 +76,33 @@ pub struct ExperimentResult {
     pub k: usize,
     /// Edges in the structure graph.
     pub num_edges: u64,
-    /// Expected-vs-observed comparison.
+    /// Expected-vs-observed comparison after SBM-Part.
     pub comparison: CdfComparison,
-    /// Wall time of the matching step only.
+    /// The same comparison after a random matching.
+    pub random: CdfComparison,
+    /// Wall time of the SBM-Part step only.
     pub match_seconds: f64,
 }
 
-/// Run the §4.2 protocol for one `(graph, k)` cell.
-pub fn run_matching_experiment(
-    kind: GraphKind,
-    k: usize,
-    seed: u64,
-    matcher: Matcher,
-) -> ExperimentResult {
+/// Run the §4.2 protocol for one `(graph, k)` cell: ground truth streamed
+/// with seed `seed ^ 0x5151`, SBM-Part with `seed ^ 0xACDC`, the random
+/// floor with `seed ^ 0xF00D`.
+pub fn run_matching_experiment(kind: GraphKind, k: usize, seed: u64) -> ExperimentResult {
     let n = kind.num_nodes();
     let edges = kind.generate(seed);
-    // RMAT graphs contain self-loops/duplicates; the matching protocol
-    // (like the paper) works on the generated table as-is — LDG and
-    // SBM-Part consume the undirected adjacency, which tolerates both.
-    let csr = Csr::undirected(&edges, n);
-
-    // Ground truth: LDG partition into geometric-sized groups.
-    let sizes = geometric_group_sizes(n, k, 0.4);
-    let mut order: Vec<u64> = (0..n).collect();
-    SplitMix64::new(seed ^ 0x5151).shuffle(&mut order);
-    let truth = ldg_partition(&csr, &sizes, &order);
-    let expected = empirical_jpd(&truth, &edges, k);
-
-    // Matching from scratch, random stream order (paper protocol).
-    let mut order2: Vec<u64> = (0..n).collect();
-    SplitMix64::new(seed ^ 0xACDC).shuffle(&mut order2);
+    let protocol = Protocol::new(&edges, n, k, seed ^ 0x5151);
+    let order = stream_order(n, seed ^ 0xACDC);
     let start = Instant::now();
-    let group_of = match matcher {
-        Matcher::SbmPart(config) => {
-            let input = MatchInput {
-                group_sizes: &sizes,
-                jpd: &expected,
-                csr: &csr,
-                num_edges: edges.len(),
-            };
-            sbm_part_with(&input, &order2, config).group_of
-        }
-        Matcher::Random => random_matching(&sizes, n, seed ^ 0xF00D).group_of,
-    };
+    let matched = sbm_part(&protocol.input(), &order);
     let match_seconds = start.elapsed().as_secs_f64();
-    let observed = empirical_jpd(&group_of, &edges, k);
+    let random = random_matching(&protocol.sizes, n, seed ^ 0xF00D);
 
     ExperimentResult {
         graph: kind.label(),
         k,
         num_edges: edges.len(),
-        comparison: compare_jpds(&expected, &observed),
+        comparison: protocol.compare(&edges, &matched.group_of),
+        random: protocol.compare(&edges, &random.group_of),
         match_seconds,
     }
 }
@@ -152,7 +110,7 @@ pub fn run_matching_experiment(
 /// Render a result as one row of the report tables.
 pub fn result_row(r: &ExperimentResult) -> String {
     format!(
-        "{:<12} k={:<3} m={:<10} L1={:.4}  KS={:.4}  Hellinger={:.4}  diag {:.3}->{:.3}  match {:.2}s",
+        "{:<12} k={:<3} m={:<10} L1={:.4}  KS={:.4}  Hellinger={:.4}  diag {:.3}->{:.3}  match {:.2}s  | random L1={:.4}  KS={:.4}",
         r.graph,
         r.k,
         r.num_edges,
@@ -161,7 +119,9 @@ pub fn result_row(r: &ExperimentResult) -> String {
         r.comparison.hellinger,
         r.comparison.expected_diagonal,
         r.comparison.observed_diagonal,
-        r.match_seconds
+        r.match_seconds,
+        r.random.l1,
+        r.random.ks
     )
 }
 
@@ -230,11 +190,4 @@ pub fn maybe_write_csv(opts: &CliOptions, name: &str, r: &ExperimentResult) {
         let path = dir.join(format!("{name}.csv"));
         std::fs::write(&path, cdf_series_csv(r)).expect("write csv");
     }
-}
-
-/// The independent-matching diagonal mass for a JPD — a reference line for
-/// reports.
-pub fn independent_diagonal(jpd: &Jpd) -> f64 {
-    let marginal = jpd.marginal();
-    marginal.iter().map(|w| w * w).sum()
 }

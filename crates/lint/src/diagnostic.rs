@@ -3,6 +3,7 @@
 use std::fmt;
 
 use datasynth_schema::Span;
+use datasynth_tables::export::json_escape;
 
 /// How serious a diagnostic is.
 ///
@@ -146,8 +147,8 @@ impl LintReport {
 
     /// Render the report as deterministic JSON. This exact byte string is
     /// shared by `datasynth lint --format json` and the server's 422
-    /// response body, so tooling can diff the two directly. No external
-    /// JSON library is involved; escaping is done here.
+    /// response body, so tooling can diff the two directly. Strings go
+    /// through the workspace's one escaper, `tables::export::json_escape`.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(128 + self.diagnostics.len() * 160);
         out.push_str("{\"diagnostics\":[");
@@ -164,13 +165,13 @@ impl LintReport {
             out.push_str(",\"column\":");
             out.push_str(&d.span.column.to_string());
             out.push_str(",\"subject\":\"");
-            json_escape_into(&d.subject, &mut out);
+            out.push_str(&json_escape(&d.subject));
             out.push_str("\",\"message\":\"");
-            json_escape_into(&d.message, &mut out);
+            out.push_str(&json_escape(&d.message));
             out.push('"');
             if let Some(help) = &d.help {
                 out.push_str(",\"help\":\"");
-                json_escape_into(help, &mut out);
+                out.push_str(&json_escape(help));
                 out.push('"');
             }
             out.push('}');
@@ -183,23 +184,6 @@ impl LintReport {
         out.push_str(&self.count(Severity::Note).to_string());
         out.push('}');
         out
-    }
-}
-
-/// Escape `s` as JSON string contents (without surrounding quotes).
-fn json_escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
     }
 }
 

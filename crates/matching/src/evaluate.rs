@@ -1,10 +1,81 @@
 //! Matching-quality evaluation: the expected-vs-observed CDF series of
-//! Figures 3 and 4, plus the paper's experiment protocol helpers.
+//! Figures 3 and 4, and the paper's §4.2 experiment protocol
+//! ([`Protocol`]).
 
 use datasynth_prng::dist::geometric_pmf;
-use datasynth_tables::EdgeTable;
+use datasynth_prng::SplitMix64;
+use datasynth_tables::{Csr, EdgeTable};
 
 use crate::jpd::Jpd;
+use crate::ldg::ldg_partition;
+use crate::matcher::MatchResult;
+use crate::sbm_part::{sbm_part, MatchInput};
+
+/// The paper's §4.2 experiment on one graph: ground-truth groups from an
+/// LDG pass into `k` geometric-sized groups, the joint distribution
+/// `P(X,Y)` they induce (the *expected* JPD), and SBM-Part asked to
+/// reproduce it from scratch on a random stream.
+#[derive(Debug)]
+pub struct Protocol {
+    /// Undirected adjacency of the graph (self-loops and duplicate edges
+    /// kept as generated, like the paper).
+    pub csr: Csr,
+    /// Group sizes: [`geometric_group_sizes`] with `p = 0.4`.
+    pub sizes: Vec<u64>,
+    /// The JPD measured on the LDG ground truth.
+    pub expected: Jpd,
+    /// Edge count of the graph.
+    pub num_edges: u64,
+}
+
+impl Protocol {
+    /// Build the ground truth for `edges` over `n` nodes and `k` groups,
+    /// streaming LDG in the order [`stream_order`]`(n, truth_seed)`.
+    pub fn new(edges: &EdgeTable, n: u64, k: usize, truth_seed: u64) -> Self {
+        let csr = Csr::undirected(edges, n);
+        let sizes = geometric_group_sizes(n, k, 0.4);
+        let truth = ldg_partition(&csr, &sizes, &stream_order(n, truth_seed));
+        let expected = empirical_jpd(&truth, edges, k);
+        Self {
+            csr,
+            sizes,
+            expected,
+            num_edges: edges.len(),
+        }
+    }
+
+    /// The matcher's input: the expected JPD over this graph and sizes.
+    pub fn input(&self) -> MatchInput<'_> {
+        MatchInput {
+            group_sizes: &self.sizes,
+            jpd: &self.expected,
+            csr: &self.csr,
+            num_edges: self.num_edges,
+        }
+    }
+
+    /// SBM-Part from scratch over the stream [`stream_order`]`(n, order_seed)`.
+    pub fn sbm_part(&self, order_seed: u64) -> MatchResult {
+        sbm_part(
+            &self.input(),
+            &stream_order(self.csr.num_nodes(), order_seed),
+        )
+    }
+
+    /// Compare the expected JPD with the one `group_of` induces on `edges`
+    /// (the graph this protocol was built from).
+    pub fn compare(&self, edges: &EdgeTable, group_of: &[u32]) -> CdfComparison {
+        let observed = empirical_jpd(group_of, edges, self.expected.k());
+        compare_jpds(&self.expected, &observed)
+    }
+}
+
+/// A random stream order: the node ids `0..n` shuffled by `seed`.
+pub fn stream_order(n: u64, seed: u64) -> Vec<u64> {
+    let mut order: Vec<u64> = (0..n).collect();
+    SplitMix64::new(seed).shuffle(&mut order);
+    order
+}
 
 /// Measure the empirical joint distribution `P'(X,Y)` of the labels at the
 /// endpoints of every edge (unordered).

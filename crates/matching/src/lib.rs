@@ -7,32 +7,26 @@
 //! * [`Jpd`] — the joint distribution object and its conversion to the SBM
 //!   target edge-count matrix `W`,
 //! * [`sbm_part`] — **SBM-Part**, the streaming partitioner that places
-//!   each arriving node into the group minimizing the Frobenius distance
-//!   `‖W_t − W‖²_F`, balanced by remaining capacity as in LDG,
+//!   each arriving node into the group that moves the running edge counts
+//!   closest to `W`, balanced by remaining capacity as in LDG,
 //! * [`ldg_partition`] — the original LDG streaming partitioner
-//!   (Stanton & Kliot, KDD'12), used both as the baseline and to fabricate
-//!   ground-truth groups in the paper's experiment protocol,
+//!   (Stanton & Kliot, KDD'12), which fabricates the ground-truth groups
+//!   of the paper's experiment,
 //! * [`random_matching`] — the "no correlation" fallback,
-//! * [`sbm_part_bipartite`] — the bipartite variant sketched in §4.2,
-//! * [`evaluate`] — expected-vs-observed CDF series (Figures 3 and 4) and
-//!   distances, plus the paper's geometric group-size protocol.
+//! * [`evaluate`] — expected-vs-observed CDF series (Figures 3 and 4),
+//!   their distances, and the paper's experiment protocol
+//!   ([`evaluate::Protocol`]): LDG ground truth over `k` geometric groups,
+//!   the expected JPD it induces, SBM-Part on a random stream, compared.
 
-mod bipartite;
 pub mod evaluate;
 mod jpd;
 mod ldg;
 mod matcher;
-mod refine;
 mod sbm_part;
 
-pub use bipartite::{empirical_bipartite_jpd, sbm_part_bipartite, BipartiteInput, BipartiteResult};
 pub use jpd::Jpd;
 pub use ldg::ldg_partition;
 pub use matcher::{
-    apply_mapping, assignment_to_mapping, assignment_to_mapping_with_ids, random_matching,
-    MatchResult,
+    assignment_to_mapping, assignment_to_mapping_with_ids, random_matching, MatchResult,
 };
-pub use refine::{refine_assignment, RefineStats};
-pub use sbm_part::{
-    sbm_part, sbm_part_random_order, sbm_part_with, MatchInput, SbmPartConfig, ScoreScheme,
-};
+pub use sbm_part::{sbm_part, MatchInput};

@@ -6,7 +6,6 @@
 //! which keeps the whole pipeline deterministic.
 
 use datasynth_prng::SplitMix64;
-use datasynth_tables::{PropertyTable, TableError, Value};
 
 /// Result of a matching run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,16 +77,9 @@ pub fn random_matching(group_sizes: &[u64], num_nodes: u64, seed: u64) -> MatchR
     MatchResult::from_assignment(labels, group_sizes)
 }
 
-/// Materialize the matched property column: `out[node] = pt[mapping[node]]`.
-pub fn apply_mapping(pt: &PropertyTable, mapping: &[u64]) -> Result<PropertyTable, TableError> {
-    let values: Result<Vec<Value>, TableError> = mapping.iter().map(|&id| pt.value(id)).collect();
-    PropertyTable::from_values(pt.name().to_owned(), pt.value_type(), values?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datasynth_tables::ValueType;
 
     #[test]
     fn mapping_is_a_bijection_respecting_groups() {
@@ -120,28 +112,5 @@ mod tests {
         assert_eq!(r1, r2);
         let zeros = r1.group_of.iter().filter(|&&g| g == 0).count();
         assert_eq!(zeros, 3);
-    }
-
-    #[test]
-    fn apply_mapping_reorders_values() {
-        let pt = PropertyTable::from_values(
-            "p",
-            ValueType::Text,
-            ["a", "a", "b", "b", "b"].map(Value::from),
-        )
-        .unwrap();
-        // Nodes 0,1 are group-1 ("b"-ids 2,3), node 2 is group-0 ("a"-id 0).
-        let mapped = apply_mapping(&pt, &[2, 3, 0]).unwrap();
-        let vals: Vec<String> = mapped
-            .iter()
-            .map(|v| v.as_text().unwrap().to_owned())
-            .collect();
-        assert_eq!(vals, vec!["b", "b", "a"]);
-    }
-
-    #[test]
-    fn apply_mapping_out_of_range_errors() {
-        let pt = PropertyTable::from_values("p", ValueType::Long, [1i64].map(Value::from)).unwrap();
-        assert!(apply_mapping(&pt, &[5]).is_err());
     }
 }

@@ -189,9 +189,9 @@ fn validate_edge(schema: &Schema, edge: &EdgeType) -> Result<(), SchemaError> {
         if edge.source != edge.target {
             return Err(SchemaError::at_span(
                 format!(
-                    "edge {:?}: DSL correlations require both endpoints of type {:?}; \
-                     use the bipartite matching API for mixed-type edges",
-                    edge.name, edge.source
+                    "edge {:?}: correlation needs both endpoints of one type, \
+                     but it connects {} and {}",
+                    edge.name, edge.source, edge.target
                 ),
                 corr.jpd.span,
             ));
@@ -375,6 +375,8 @@ mod tests {
         );
     }
 
+    /// The mixed-type rejection names both types and points at no API the
+    /// user cannot reach.
     #[test]
     fn correlation_needs_same_types() {
         let src = r#"graph g {
@@ -382,7 +384,12 @@ mod tests {
             node B { t: text = dictionary("topics"); }
             edge e: A -> B [one_to_many] { correlate c with homophily(0.5); }
         }"#;
-        expect_error(src, "both endpoints");
+        let err = parse_schema(src).unwrap_err();
+        assert_eq!(
+            err.message,
+            "edge \"e\": correlation needs both endpoints of one type, but it connects A and B"
+        );
+        assert!(!err.message.contains("bipartite"), "{}", err.message);
     }
 
     #[test]

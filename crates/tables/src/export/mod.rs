@@ -288,24 +288,10 @@ pub fn csv_escape(field: &str) -> String {
     }
 }
 
-/// Escape a JSON string body (without surrounding quotes). Public so
-/// downstream emitters of hand-rolled JSON (e.g. the workload manifest)
-/// share one escaping implementation.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escape a JSON string body (without surrounding quotes): the
+/// workspace's one escaper, re-exported so emitters of hand-rolled JSON
+/// (the workload manifest, the lint report) reach it beside `csv_escape`.
+pub use datasynth_telemetry::json::escape as json_escape;
 
 #[cfg(test)]
 mod tests {

@@ -10,11 +10,9 @@
 //! cargo run --release --example cdf_matching
 //! ```
 
-use datasynth::matching::evaluate::{compare_jpds, empirical_jpd, geometric_group_sizes};
-use datasynth::matching::{ldg_partition, sbm_part, MatchInput};
+use datasynth::matching::evaluate::Protocol;
 use datasynth::prng::SplitMix64;
 use datasynth::structure::{LfrGenerator, StructureGenerator};
-use datasynth::tables::Csr;
 
 fn main() {
     let n: u64 = 20_000;
@@ -27,32 +25,17 @@ fn main() {
     let lfr = LfrGenerator::paper_defaults();
     let mut rng = SplitMix64::new(seed);
     let edges = lfr.run(n, &mut rng);
-    let csr = Csr::undirected(&edges, n);
     println!("graph: {} edges", edges.len());
 
-    // 2. Ground-truth groups via LDG with geometric sizes.
-    let sizes = geometric_group_sizes(n, k, 0.4);
-    let mut order: Vec<u64> = (0..n).collect();
-    SplitMix64::new(seed ^ 1).shuffle(&mut order);
-    let truth = ldg_partition(&csr, &sizes, &order);
-    let target = empirical_jpd(&truth, &edges, k);
+    // 2. Ground-truth groups via LDG with geometric sizes, and the JPD
+    //    they induce.
+    let protocol = Protocol::new(&edges, n, k, seed ^ 1);
 
     // 3. SBM-Part re-match from scratch, random stream order.
-    let mut order2: Vec<u64> = (0..n).collect();
-    SplitMix64::new(seed ^ 2).shuffle(&mut order2);
-    let result = sbm_part(
-        &MatchInput {
-            group_sizes: &sizes,
-            jpd: &target,
-            csr: &csr,
-            num_edges: edges.len(),
-        },
-        &order2,
-    );
-    let observed = empirical_jpd(&result.group_of, &edges, k);
+    let result = protocol.sbm_part(seed ^ 2);
 
     // 4. Compare, Figure-3 style.
-    let cmp = compare_jpds(&target, &observed);
+    let cmp = protocol.compare(&edges, &result.group_of);
     println!(
         "L1 = {:.4}   KS = {:.4}   Hellinger = {:.4}",
         cmp.l1, cmp.ks, cmp.hellinger

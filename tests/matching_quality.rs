@@ -1,36 +1,12 @@
 //! Integration: the paper's §4.2 matching experiment at test scale, with
 //! hard quality thresholds (tightened versions of the Figure 3/4 shapes).
 
-use datasynth::matching::evaluate::{compare_jpds, empirical_jpd, geometric_group_sizes};
-use datasynth::matching::{
-    ldg_partition, random_matching, sbm_part, sbm_part_with, MatchInput, SbmPartConfig, ScoreScheme,
-};
+use datasynth::matching::evaluate::Protocol;
+use datasynth::matching::random_matching;
 use datasynth::prng::SplitMix64;
 use datasynth::structure::{LfrGenerator, RmatGenerator, StructureGenerator};
-use datasynth::tables::{Csr, EdgeTable};
+use datasynth::tables::EdgeTable;
 use datasynth::telemetry::fnv1a_64;
-
-struct Setup {
-    edges: EdgeTable,
-    csr: Csr,
-    sizes: Vec<u64>,
-    expected: datasynth::matching::Jpd,
-}
-
-fn protocol(edges: EdgeTable, n: u64, k: usize, seed: u64) -> Setup {
-    let csr = Csr::undirected(&edges, n);
-    let sizes = geometric_group_sizes(n, k, 0.4);
-    let mut order: Vec<u64> = (0..n).collect();
-    SplitMix64::new(seed).shuffle(&mut order);
-    let truth = ldg_partition(&csr, &sizes, &order);
-    let expected = empirical_jpd(&truth, &edges, k);
-    Setup {
-        edges,
-        csr,
-        sizes,
-        expected,
-    }
-}
 
 /// FNV-1a over the little-endian bytes of an assignment: pins every
 /// node's group, so a matcher change that moves one node fails loudly.
@@ -39,32 +15,24 @@ fn digest(group_of: &[u32]) -> u64 {
     fnv1a_64(&bytes)
 }
 
-fn match_and_score(setup: &Setup, seed: u64) -> (f64, f64, u64) {
-    let input = MatchInput {
-        group_sizes: &setup.sizes,
-        jpd: &setup.expected,
-        csr: &setup.csr,
-        num_edges: setup.edges.len(),
-    };
-    let n = setup.csr.num_nodes();
-    let mut order: Vec<u64> = (0..n).collect();
-    SplitMix64::new(seed).shuffle(&mut order);
-    let smart = sbm_part(&input, &order);
-    let observed = empirical_jpd(&smart.group_of, &setup.edges, setup.expected.k());
-    let cmp = compare_jpds(&setup.expected, &observed);
-
-    let rand = random_matching(&setup.sizes, n, seed ^ 0xBEEF);
-    let observed_r = empirical_jpd(&rand.group_of, &setup.edges, setup.expected.k());
-    let cmp_r = compare_jpds(&setup.expected, &observed_r);
-    (cmp.l1, cmp_r.l1, digest(&smart.group_of))
+/// SBM-Part and a random matching against the protocol's expected JPD:
+/// their L1 distances and the digest of SBM-Part's assignment.
+fn match_and_score(edges: &EdgeTable, protocol: &Protocol, seed: u64) -> (f64, f64, u64) {
+    let smart = protocol.sbm_part(seed);
+    let rand = random_matching(&protocol.sizes, protocol.csr.num_nodes(), seed ^ 0xBEEF);
+    (
+        protocol.compare(edges, &smart.group_of).l1,
+        protocol.compare(edges, &rand.group_of).l1,
+        digest(&smart.group_of),
+    )
 }
 
 #[test]
 fn lfr_matching_is_high_quality_and_beats_random() {
     let n = 10_000;
     let edges = LfrGenerator::paper_defaults().run(n, &mut SplitMix64::new(1));
-    let setup = protocol(edges, n, 16, 2);
-    let (l1, l1_random, pin) = match_and_score(&setup, 3);
+    let protocol = Protocol::new(&edges, n, 16, 2);
+    let (l1, l1_random, pin) = match_and_score(&edges, &protocol, 3);
     assert_eq!(
         pin, 0x59a8_e7b1_f2db_e026,
         "LFR(10k) k = 16 assignment moved"
@@ -76,8 +44,8 @@ fn lfr_matching_is_high_quality_and_beats_random() {
 #[test]
 fn rmat_matching_beats_random() {
     let edges = RmatGenerator::graph500().run_scale(13, &mut SplitMix64::new(4));
-    let setup = protocol(edges, 1 << 13, 16, 5);
-    let (l1, l1_random, pin) = match_and_score(&setup, 6);
+    let protocol = Protocol::new(&edges, 1 << 13, 16, 5);
+    let (l1, l1_random, pin) = match_and_score(&edges, &protocol, 6);
     assert_eq!(
         pin, 0x5c83_3ec6_4d0f_8d57,
         "RMAT(2^13) k = 16 assignment moved"
@@ -91,8 +59,8 @@ fn quality_holds_across_k() {
     let n = 10_000;
     let edges = LfrGenerator::paper_defaults().run(n, &mut SplitMix64::new(7));
     for k in [4usize, 16, 64] {
-        let setup = protocol(edges.clone(), n, k, 8);
-        let (l1, l1_random, pin) = match_and_score(&setup, 9);
+        let protocol = Protocol::new(&edges, n, k, 8);
+        let (l1, l1_random, pin) = match_and_score(&edges, &protocol, 9);
         let want = match k {
             4 => 0x4a0a_6b93_507e_65e5,
             16 => 0x3a3f_5cdd_44fb_6636,
@@ -113,57 +81,17 @@ fn quality_holds_across_k() {
 fn diagonal_homophily_mass_is_recovered() {
     let n = 10_000;
     let edges = LfrGenerator::paper_defaults().run(n, &mut SplitMix64::new(10));
-    let setup = protocol(edges, n, 16, 11);
-    let input = MatchInput {
-        group_sizes: &setup.sizes,
-        jpd: &setup.expected,
-        csr: &setup.csr,
-        num_edges: setup.edges.len(),
-    };
-    let mut order: Vec<u64> = (0..n).collect();
-    SplitMix64::new(12).shuffle(&mut order);
-    let result = sbm_part(&input, &order);
+    let protocol = Protocol::new(&edges, n, 16, 11);
+    let result = protocol.sbm_part(12);
     assert_eq!(
         digest(&result.group_of),
         0xeb20_cc21_276f_a046,
         "LFR(10k) k = 16 assignment moved"
     );
-    let observed = empirical_jpd(&result.group_of, &setup.edges, 16);
-    let expected_diag = setup.expected.diagonal_mass();
-    let observed_diag = observed.diagonal_mass();
+    let cmp = protocol.compare(&edges, &result.group_of);
+    let (expected_diag, observed_diag) = (cmp.expected_diagonal, cmp.observed_diagonal);
     assert!(
         observed_diag > 0.85 * expected_diag,
         "diag {observed_diag} vs expected {expected_diag}"
     );
-}
-
-#[test]
-fn paper_scheme_is_available_and_reasonable() {
-    // The literal raw-count Frobenius objective from the paper: weaker
-    // than the default but still far better than random.
-    let n = 10_000;
-    let edges = LfrGenerator::paper_defaults().run(n, &mut SplitMix64::new(13));
-    let setup = protocol(edges, n, 16, 14);
-    let input = MatchInput {
-        group_sizes: &setup.sizes,
-        jpd: &setup.expected,
-        csr: &setup.csr,
-        num_edges: setup.edges.len(),
-    };
-    let mut order: Vec<u64> = (0..n).collect();
-    SplitMix64::new(15).shuffle(&mut order);
-    let raw = sbm_part_with(
-        &input,
-        &order,
-        SbmPartConfig {
-            scheme: ScoreScheme::RawCounts,
-            no_capacity_penalty: false,
-        },
-    );
-    let observed = empirical_jpd(&raw.group_of, &setup.edges, 16);
-    let cmp = compare_jpds(&setup.expected, &observed);
-    let rand = random_matching(&setup.sizes, n, 16);
-    let observed_r = empirical_jpd(&rand.group_of, &setup.edges, 16);
-    let cmp_r = compare_jpds(&setup.expected, &observed_r);
-    assert!(cmp.l1 < 0.7 * cmp_r.l1, "{} vs {}", cmp.l1, cmp_r.l1);
 }
